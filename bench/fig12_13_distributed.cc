@@ -1,8 +1,9 @@
 // Figures 12 & 13: multi-node scalability. Workers are in-process engines
 // with hash-partitioned facts and replicated dimensions; network costs are
-// modeled (see DESIGN.md). Fig 12: GBDT vs Dask-LightGBM across SF and
-// worker counts. Fig 13: decision-tree training where 2 workers introduce a
-// shuffle stage that makes them slower than 1, recovering at 4-6.
+// modeled (see docs/ARCHITECTURE.md "Paper-to-code map"). Fig 12: GBDT vs
+// Dask-LightGBM across SF and worker counts. Fig 13: decision-tree training
+// where 2 workers introduce a shuffle stage that makes them slower than 1,
+// recovering at 4-6.
 #include "baselines/dense_dataset.h"
 #include "baselines/histogram_gbdt.h"
 #include "bench_util.h"

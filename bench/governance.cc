@@ -98,7 +98,7 @@ OverheadSweep RunOverheadSweep(jb::exec::Database* db, int reps) {
       "FROM sales GROUP BY sales.store_id";
   OverheadSweep out;
   jb::util::QueryGuard guard;  // armed, unlimited: pure check cost
-  // Warm plan cache and storage once for both variants.
+  // Warm storage once for both variants.
   db->Query(agg);
   db->Query(grp);
   RunGoverned(db, agg, &guard);

@@ -17,7 +17,7 @@ namespace core {
 /// per-worker semi-ring partials on a coordinator; residual updates run on
 /// every shard. Worker compute is real (parallel threads); the network is
 /// modeled (per-exchange latency plus bytes/bandwidth) since no actual wire
-/// exists in-process — see DESIGN.md "Substitutions".
+/// exists in-process — see docs/ARCHITECTURE.md "Paper-to-code map".
 struct DistributedConfig {
   int num_workers = 4;
   double network_latency_s = 0.002;           ///< per coordinator exchange

@@ -140,15 +140,6 @@ std::shared_ptr<ExecTable> Database::Query(const std::string& sql_text,
   return res.table;
 }
 
-std::shared_ptr<ExecTable> Database::QueryOn(const Catalog& cat,
-                                             const std::string& sql_text,
-                                             const std::string& tag) {
-  ReadContext rctx;
-  rctx.catalog = &cat;
-  rctx.tag = tag;
-  return Query(rctx, sql_text);
-}
-
 double Database::QueryScalarDouble(const std::string& sql_text,
                                    const std::string& tag) {
   auto t = Query(sql_text, tag);
@@ -162,7 +153,8 @@ Database::Result Database::ExecuteStatement(const sql::Statement& stmt) {
   Result res;
   switch (stmt.kind) {
     case sql::Statement::Kind::kSelect:
-      res.table = std::make_shared<ExecTable>(RunSelect(*stmt.select));
+      res.table =
+          std::make_shared<ExecTable>(Query(ReadContext{}, *stmt.select));
       break;
     case sql::Statement::Kind::kExplain:
       res.table = ExecuteExplain(stmt);
@@ -183,17 +175,6 @@ Database::Result Database::ExecuteStatement(const sql::Statement& stmt) {
       break;
   }
   return res;
-}
-
-ExecTable Database::RunSelect(const sql::SelectStmt& stmt) {
-  return Query(ReadContext{}, stmt);
-}
-
-ExecTable Database::RunSelectOn(const Catalog& cat,
-                                const sql::SelectStmt& stmt) {
-  ReadContext rctx;
-  rctx.catalog = &cat;
-  return Query(rctx, stmt);
 }
 
 std::shared_ptr<ExecTable> Database::Query(const ReadContext& rctx,
@@ -217,6 +198,12 @@ std::shared_ptr<ExecTable> Database::Query(const ReadContext& rctx,
 
 ExecTable Database::Query(const ReadContext& rctx,
                           const sql::SelectStmt& stmt) {
+  return PlanAndExecute(rctx, stmt, nullptr);
+}
+
+ExecTable Database::PlanAndExecute(const ReadContext& rctx,
+                                   const sql::SelectStmt& stmt,
+                                   plan::LogicalPlan* executed) {
   const Catalog& cat = rctx.catalog ? *rctx.catalog : catalog_;
   const EngineProfile& prof = rctx.profile ? *rctx.profile : profile_;
 
@@ -248,30 +235,20 @@ ExecTable Database::Query(const ReadContext& rctx,
   };
   try {
     ExecTable current;
-    if (prof.use_planner) {
-      plan::PlannerContext pctx;
-      if (prof.cost_based_planner) {
-        pctx.stats = &stats_mgr_;
-        pctx.cache = &plan_cache_;
-      }
+    if (prof.use_planner || executed) {
       plan::ParallelPolicy policy;
       policy.threads =
           prof.columnar_exec ? octx.threads : 1;  // X-row is serial
       policy.morsel_rows = prof.morsel_rows;
       policy.threshold_rows = prof.parallel_threshold_rows;
       plan::LogicalPlan lp =
-          plan::PlanSelect(stmt, cat, /*for_explain=*/false, policy, &pctx);
+          plan::PlanSelect(stmt, cat, /*for_explain=*/false, policy);
       ++local.queries_planned;
       local.predicates_pushed += lp.predicates_pushed;
       local.constants_folded += lp.constants_folded;
       if (lp.joins_reordered) ++local.joins_reordered;
-      if (lp.joins_reordered_dp) ++local.joins_reordered_dp;
-      if (lp.plan_cache == 1) {
-        ++local.plan_cache_hits;
-      } else if (lp.plan_cache == 0) {
-        ++local.plan_cache_misses;
-      }
       current = ExecutePlanNode(cat, *lp.data_root, octx, ectx);
+      if (executed) *executed = std::move(lp);
     } else {
       current = RunFromWhere(cat, stmt, octx, ectx);
     }
@@ -303,44 +280,17 @@ ExecTable Database::Query(const ReadContext& rctx,
 }
 
 std::string Database::ExplainSelect(const sql::SelectStmt& stmt) {
-  // EXPLAIN uses stats (so estimates match execution) but never the plan
-  // cache: the hit/miss counters stay a pure record of executed queries.
-  plan::PlannerContext pctx;
-  if (profile_.cost_based_planner) pctx.stats = &stats_mgr_;
   plan::LogicalPlan lp = plan::PlanSelect(stmt, catalog_, /*for_explain=*/true,
-                                          parallel_policy(), &pctx);
+                                          parallel_policy());
   return plan::Explain(lp);
 }
 
 std::string Database::ExplainAnalyzeSelect(const sql::SelectStmt& stmt) {
-  plan::PlanStats local;
-  OpContext octx;
-  octx.row_mode = !profile_.columnar_exec;
-  octx.threads = exec_threads_;
-  octx.pool = pool_.get();
-  octx.interop_scan = profile_.dataframe_interop;
-  octx.stats = &local;
-  octx.morsel_rows = profile_.morsel_rows;
-  octx.parallel_threshold = profile_.parallel_threshold_rows;
-  octx.compressed_exec = profile_.compressed_exec && profile_.compression;
-
-  EvalContext ectx;
-  ectx.run_subquery = [this](const sql::SelectStmt& sub) {
-    return RunSelect(sub);
-  };
-
-  // Plan with stats but without the cache (same policy as ExplainSelect), on
-  // the execution plan shape (for_explain=false) so the tree we annotate is
-  // the tree we run.
-  plan::PlannerContext pctx;
-  if (profile_.cost_based_planner) pctx.stats = &stats_mgr_;
-  plan::LogicalPlan lp = plan::PlanSelect(stmt, catalog_, /*for_explain=*/false,
-                                          parallel_policy(), &pctx);
-  ExecTable current = ExecutePlanNode(catalog_, *lp.data_root, octx, ectx);
-  ExecTable out = FinishSelect(stmt, std::move(current), octx, ectx);
+  // Render the executed plan (the execution shape, for_explain=false), not a
+  // re-plan: only the executed tree carries the recorded actual rows.
+  plan::LogicalPlan lp;
+  ExecTable out = PlanAndExecute(ReadContext{}, stmt, &lp);
   if (lp.root) lp.root->actual_rows = static_cast<double>(out.rows);
-  // Re-render through the EXPLAIN tree builder: PlanSelect(for_explain) would
-  // re-plan and lose the recorded actuals, so render this plan directly.
   return plan::Explain(lp);
 }
 
@@ -698,7 +648,7 @@ TablePtr Database::MaterializeResult(const std::string& name,
 }
 
 void Database::ExecuteCreateTableAs(const sql::Statement& stmt) {
-  ExecTable result = RunSelect(*stmt.select);
+  ExecTable result = Query(ReadContext{}, *stmt.select);
   MaterializeResult(stmt.table, result, /*as_dataframe=*/false);
 }
 
@@ -715,7 +665,7 @@ size_t Database::ExecuteUpdate(const sql::Statement& stmt) {
   octx.pool = nullptr;
   EvalContext ectx;
   ectx.run_subquery = [this](const sql::SelectStmt& sub) {
-    return RunSelect(sub);
+    return Query(ReadContext{}, sub);
   };
 
   // Decompress (cost) to evaluate and write.

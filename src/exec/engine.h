@@ -8,9 +8,7 @@
 #include "exec/operators.h"
 #include "exec/vector.h"
 #include "plan/logical_plan.h"
-#include "plan/plan_cache.h"
 #include "sql/ast.h"
-#include "stats/stats_manager.h"
 #include "storage/catalog.h"
 #include "storage/engine_profile.h"
 #include "storage/mvcc.h"
@@ -25,9 +23,9 @@ namespace exec {
 /// come from (null = the database's live catalog; the serving layer passes a
 /// session's pinned snapshot so concurrent writers stay invisible), an
 /// optional profile override (planner/threads/compressed-exec knobs; threads
-/// are still clamped to the engine pool), and the query-log tag. This is the
-/// single read entry point's context — Database::Query(const ReadContext&,
-/// ...) subsumes the old RunSelect/RunSelectOn/QueryOn trio.
+/// are still clamped to the engine pool), and the query-log tag. It is the
+/// context of the single read entry point, Database::Query(const
+/// ReadContext&, ...).
 struct ReadContext {
   const Catalog* catalog = nullptr;        ///< null = live catalog
   const EngineProfile* profile = nullptr;  ///< null = database profile
@@ -80,20 +78,6 @@ class Database {
   std::shared_ptr<ExecTable> Query(const ReadContext& rctx,
                                    const std::string& sql);
 
-  /// Deprecated: use Query(ReadContext{}, stmt).
-  ExecTable RunSelect(const sql::SelectStmt& stmt);
-
-  /// Deprecated: use Query(ReadContext{&cat}, stmt). This was the serving
-  /// layer's versioned-read path: a session resolves every base table
-  /// (including subquery scans) through its pinned snapshot catalog, so
-  /// concurrent writers publishing new table versions are invisible to it.
-  ExecTable RunSelectOn(const Catalog& cat, const sql::SelectStmt& stmt);
-
-  /// Deprecated: use Query(ReadContext{&cat, nullptr, tag}, sql).
-  std::shared_ptr<ExecTable> QueryOn(const Catalog& cat,
-                                     const std::string& sql,
-                                     const std::string& tag = "");
-
   /// Append `rows` (matched to the table's schema by column name) to table
   /// `name` by sealing new chunks: existing column segments are reused by
   /// pointer — O(new rows), chunks_rewritten stays 0 — and the grown table
@@ -107,7 +91,8 @@ class Database {
   std::string ExplainSelect(const sql::SelectStmt& stmt);
 
   /// EXPLAIN ANALYZE: plan, execute, and render the tree with per-operator
-  /// actual row counts next to the estimates.
+  /// actual row counts next to the estimates. The execution counts towards
+  /// PlanStatsTotals() like any other query.
   std::string ExplainAnalyzeSelect(const sql::SelectStmt& stmt);
 
   /// Intra-query thread budget after clamping to the pool size.
@@ -150,14 +135,20 @@ class Database {
   plan::PlanStats PlanStatsTotals() const;
   void ClearPlanStats();
 
-  /// The normalized-shape plan cache (exposed for staleness tests/benches).
-  plan::PlanCache& plan_cache() { return plan_cache_; }
-
  private:
   Result ExecuteStatement(const sql::Statement& stmt);
   size_t ExecuteUpdate(const sql::Statement& stmt);
   void ExecuteCreateTableAs(const sql::Statement& stmt);
   std::shared_ptr<ExecTable> ExecuteExplain(const sql::Statement& stmt);
+
+  /// The one plan-and-execute path behind Query(ReadContext) and EXPLAIN
+  /// ANALYZE: executes `stmt` under `rctx` and merges its counters into
+  /// PlanStatsTotals(). Runs the raw AST when the effective profile turns the
+  /// planner off and `executed` is null; a non-null `executed` always plans
+  /// and receives the executed plan, with its observed row counts.
+  ExecTable PlanAndExecute(const ReadContext& rctx,
+                           const sql::SelectStmt& stmt,
+                           plan::LogicalPlan* executed);
 
   /// Legacy data-section execution over the raw AST (planner off). `cat` is
   /// the catalog base tables resolve against (the live catalog_, or a
@@ -189,12 +180,6 @@ class Database {
 
   mutable std::mutex stats_mu_;
   plan::PlanStats plan_stats_;
-
-  /// Lazy per-column statistics (cost-based planner). Thread-safe; entries
-  /// are invalidated by ColumnData version bumps and table replacement.
-  stats::StatsManager stats_mgr_;
-  /// Normalized-shape plan cache (join-order decisions, literals stripped).
-  plan::PlanCache plan_cache_;
 };
 
 }  // namespace exec

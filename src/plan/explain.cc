@@ -27,10 +27,7 @@ std::string Explain(const LogicalPlan& plan) {
     if (plan.constants_folded > 0) {
       os << " folded=" << plan.constants_folded;
     }
-    if (plan.joins_reordered) {
-      os << (plan.joins_reordered_dp ? " joins-reordered-dp"
-                                     : " joins-reordered");
-    }
+    if (plan.joins_reordered) os << " joins-reordered";
     os << "\n";
   }
   return os.str();
@@ -51,9 +48,6 @@ std::string FormatStats(const PlanStats& s) {
      << "predicates_pushed  " << s.predicates_pushed << "\n"
      << "constants_folded   " << s.constants_folded << "\n"
      << "joins_reordered    " << s.joins_reordered << "\n"
-     << "joins_reordered_dp " << s.joins_reordered_dp << "\n"
-     << "plan_cache hit/miss " << s.plan_cache_hits << " / "
-     << s.plan_cache_misses << "\n"
      << "morsels disp/stole " << s.morsels_dispatched << " / "
      << s.morsels_stolen << "\n"
      << "multi_aggs/sets    " << s.multi_aggs << " / " << s.grouping_sets

@@ -10,11 +10,6 @@
 #include "storage/catalog.h"
 
 namespace joinboost {
-
-namespace stats {
-class StatsManager;
-}  // namespace stats
-
 namespace plan {
 
 /// Counters produced while planning and executing queries. The engine
@@ -37,10 +32,11 @@ struct PlanStats {
   size_t predicates_pushed = 0;  ///< WHERE conjuncts fused into scans
   size_t constants_folded = 0;   ///< predicate subtrees folded to literals
   size_t joins_reordered = 0;    ///< queries whose join order changed
-  size_t joins_reordered_dp = 0; ///< queries whose order the DP enumerator
-                                 ///< changed (counted on cache hits too)
-  size_t plan_cache_hits = 0;    ///< shape-cache hits (stats + DP skipped)
-  size_t plan_cache_misses = 0;  ///< shape-cache misses (decision computed)
+  /// Always 0: the planner has no DP enumerator or plan cache. These three
+  /// stay only because perfbench/ still reports them.
+  size_t joins_reordered_dp = 0;
+  size_t plan_cache_hits = 0;    ///< always 0 (see joins_reordered_dp)
+  size_t plan_cache_misses = 0;  ///< always 0 (see joins_reordered_dp)
   size_t morsels_dispatched = 0; ///< morsels run by parallel operators
   size_t morsels_stolen = 0;     ///< morsels executed by pool workers rather
                                  ///< than the dispatching thread
@@ -83,9 +79,6 @@ struct PlanStats {
     predicates_pushed += o.predicates_pushed;
     constants_folded += o.constants_folded;
     joins_reordered += o.joins_reordered;
-    joins_reordered_dp += o.joins_reordered_dp;
-    plan_cache_hits += o.plan_cache_hits;
-    plan_cache_misses += o.plan_cache_misses;
     morsels_dispatched += o.morsels_dispatched;
     morsels_stolen += o.morsels_stolen;
     multi_aggs += o.multi_aggs;
@@ -117,9 +110,6 @@ struct PlanStats {
     d.predicates_pushed -= o.predicates_pushed;
     d.constants_folded -= o.constants_folded;
     d.joins_reordered -= o.joins_reordered;
-    d.joins_reordered_dp -= o.joins_reordered_dp;
-    d.plan_cache_hits -= o.plan_cache_hits;
-    d.plan_cache_misses -= o.plan_cache_misses;
     d.morsels_dispatched -= o.morsels_dispatched;
     d.morsels_stolen -= o.morsels_stolen;
     d.multi_aggs -= o.multi_aggs;
@@ -231,35 +221,20 @@ struct LogicalPlan {
   size_t predicates_pushed = 0;
   size_t constants_folded = 0;
   bool joins_reordered = false;
-  bool joins_reordered_dp = false;  ///< order came from the DP enumerator
-  int plan_cache = -1;  ///< -1 = cache not consulted, 0 = miss, 1 = hit
-};
-
-class PlanCache;
-
-/// Optional cost-based planning inputs. With `stats` set, scan and join
-/// estimates come from column statistics (histogram selectivities, distinct
-/// counts) and join ordering uses the DP enumerator; without it the
-/// heuristic selectivities and greedy reorder apply. `cache` memoizes the
-/// ordering decision per normalized query shape.
-struct PlannerContext {
-  stats::StatsManager* stats = nullptr;
-  PlanCache* cache = nullptr;
 };
 
 /// Lower a SELECT into a logical tree and apply the rewrite rules:
-/// constant folding, predicate pushdown, projection pruning and join
-/// reordering — DP enumeration over statistics-based estimates when `ctx`
-/// provides a StatsManager, greedy smallest-filtered-estimate-first
-/// otherwise (and as the fallback beyond graph::kMaxDpClauses).
+/// constant folding, predicate pushdown, projection pruning and greedy join
+/// reordering (the FROM relation stays the anchor; among the clauses whose
+/// ON condition is satisfiable, the smallest heuristic post-filter estimate
+/// joins first).
 /// `for_explain` additionally plans FROM-clause subqueries as explain-only
-/// children (execution plans them in their own RunSelect instead).
+/// children (execution plans them in their own Query call instead).
 /// `parallel` annotates operators with a DOP estimate from row counts
 /// (defaulted: everything serial, est_dop = 1).
 LogicalPlan PlanSelect(const sql::SelectStmt& stmt, const Catalog& catalog,
                        bool for_explain = false,
-                       const ParallelPolicy& parallel = ParallelPolicy(),
-                       PlannerContext* ctx = nullptr);
+                       const ParallelPolicy& parallel = ParallelPolicy());
 
 /// Render a plan as indented text, one operator per line, with per-operator
 /// row/column estimates. Deterministic (golden-tested).

@@ -4,13 +4,9 @@
 #include <string>
 #include <unordered_map>
 
-#include "graph/join_order.h"
 #include "plan/logical_plan.h"
-#include "plan/plan_cache.h"
 #include "sql/expr_util.h"
 #include "sql/printer.h"
-#include "stats/selectivity.h"
-#include "stats/stats_manager.h"
 
 namespace joinboost {
 namespace plan {
@@ -29,13 +25,11 @@ struct RelInfo {
   sql::ExprPtr condition;                       ///< folded ON conjunction
   std::string qualifier;
   bool base = false;
-  TablePtr tbl;                         ///< base-table snapshot (may be null)
   std::vector<std::string> known_cols;  ///< output columns, schema order
   bool opaque = false;                  ///< column set unknown (subquery *)
   double base_rows = -1;                ///< -1 = unknown
   std::vector<sql::ExprPtr> pushed;     ///< scan-fused WHERE conjuncts
   double est = -1;                      ///< post-filter estimate
-  size_t orig = 0;                      ///< original position (0 = FROM)
 };
 
 bool RelHasColumn(const RelInfo& rel, const std::string& name) {
@@ -49,12 +43,12 @@ void FillRelInfo(const sql::TableRef& ref, const Catalog& catalog,
   rel->qualifier = ref.Qualifier();
   if (ref.kind == sql::TableRef::Kind::kBase) {
     rel->base = true;
-    rel->tbl = catalog.GetOrNull(ref.name);
-    if (rel->tbl) {
-      for (const auto& f : rel->tbl->schema().fields()) {
+    TablePtr tbl = catalog.GetOrNull(ref.name);
+    if (tbl) {
+      for (const auto& f : tbl->schema().fields()) {
         rel->known_cols.push_back(f.name);
       }
-      rel->base_rows = static_cast<double>(rel->tbl->num_rows());
+      rel->base_rows = static_cast<double>(tbl->num_rows());
     } else {
       rel->opaque = true;  // execution will raise the missing-table error
     }
@@ -121,88 +115,22 @@ bool ConditionRels(const sql::ExprPtr& cond, const std::vector<RelInfo>& rels,
   return true;
 }
 
-/// Post-filter cardinality estimate. With statistics available, each pushed
-/// conjunct is estimated from the column's histogram (falling back to the
-/// heuristic for unsupported shapes); without, the heuristic selectivities
-/// apply. Feeding the *post-filter* estimate into join ordering is what
-/// makes a heavily-filtered big table order before an unfiltered small one.
-double FilteredEstimate(const RelInfo& rel, stats::StatsManager* mgr) {
+/// Post-filter cardinality estimate: the base row count scaled by the
+/// heuristic selectivity of every pushed conjunct. Feeding the *post-filter*
+/// estimate into join ordering is what makes a heavily-filtered big table
+/// order before an unfiltered small one.
+double FilteredEstimate(const RelInfo& rel) {
   if (rel.base_rows < 0) return -1;
   double sel = 1.0;
-  for (const auto& p : rel.pushed) {
-    double s = -1;
-    if (mgr && rel.base && rel.tbl) {
-      s = stats::ConjunctSelectivity(*p, rel.tbl, mgr);
-    }
-    if (s < 0) s = EstimateSelectivity(*p);
-    sel *= s;
-  }
+  for (const auto& p : rel.pushed) sel *= EstimateSelectivity(*p);
   return std::max(1.0, rel.base_rows * sel);
-}
-
-/// Distinct count of a join-key column; when statistics cannot answer
-/// (subquery relations, missing tables), assume the key is unique on that
-/// side — the dominant shape here (dimension / message joins are N-to-1).
-double KeyDistinct(const RelInfo& rel, const std::string& column,
-                   stats::StatsManager* mgr) {
-  double ndv = -1;
-  if (rel.base && rel.tbl) ndv = stats::JoinKeyDistinct(rel.tbl, column, mgr);
-  if (ndv < 0) ndv = rel.est;
-  return std::max(1.0, ndv);
-}
-
-/// Join selectivity of clause `self` from distinct counts.
-///
-/// Inner joins: each equi key pair contributes 1 / max(ndv_left, ndv_right)
-/// to the |L| x |R| cross product. Semi joins *filter* the left side: the
-/// fraction of left rows whose key appears on the right is about
-/// min(1, ndv_right / ndv_left) per key pair (the trainer's selector
-/// messages carry exactly the surviving key set, so this is near-exact
-/// there); anti joins keep the complement. Residual conjuncts contribute
-/// their heuristic selectivity either way.
-double JoinSelectivity(const RelInfo& rel, const std::vector<RelInfo>& rels,
-                       size_t self, stats::StatsManager* mgr) {
-  const bool filtering = rel.jtype == sql::JoinType::kSemi ||
-                         rel.jtype == sql::JoinType::kAnti;
-  std::vector<sql::ExprPtr> conjuncts;
-  SplitConjuncts(rel.condition, &conjuncts);
-  double sel = 1.0;
-  for (const auto& c : conjuncts) {
-    bool handled = false;
-    if (c->kind == sql::ExprKind::kBinary && c->op == "=" &&
-        c->args[0]->kind == sql::ExprKind::kColumnRef &&
-        c->args[1]->kind == sql::ExprKind::kColumnRef) {
-      int a = ResolveRef(*c->args[0], rels);
-      int b = ResolveRef(*c->args[1], rels);
-      if (a >= 0 && b >= 0 && a != b) {
-        double nda = KeyDistinct(rels[static_cast<size_t>(a)],
-                                 c->args[0]->column, mgr);
-        double ndb = KeyDistinct(rels[static_cast<size_t>(b)],
-                                 c->args[1]->column, mgr);
-        if (filtering) {
-          // Put the clause's own relation on the "right" of the fraction.
-          double nd_self = a == static_cast<int>(self) ? nda : ndb;
-          double nd_other = a == static_cast<int>(self) ? ndb : nda;
-          sel *= std::min(1.0, nd_self / std::max(1.0, nd_other));
-        } else {
-          sel /= std::max(nda, ndb);
-        }
-        handled = true;
-      }
-    }
-    if (!handled) sel *= EstimateSelectivity(*c);
-  }
-  if (rel.jtype == sql::JoinType::kAnti) {
-    sel = std::min(1.0, std::max(0.0, 1.0 - sel));
-  }
-  return sel;
 }
 
 LogicalOpPtr MakeScan(const RelInfo& rel, const Catalog& catalog,
                       const std::unordered_map<std::string,
                                                std::set<std::string>>& needed,
                       bool prune_enabled, bool for_explain,
-                      const ParallelPolicy& parallel, PlannerContext* ctx) {
+                      const ParallelPolicy& parallel) {
   auto op = std::make_shared<LogicalOp>();
   op->qualifier = rel.qualifier;
   op->est_rows = rel.est;
@@ -231,9 +159,9 @@ LogicalOpPtr MakeScan(const RelInfo& rel, const Catalog& catalog,
                               : static_cast<int>(rel.known_cols.size());
     if (for_explain) {
       // Explain-only child; normal execution plans the nested SELECT inside
-      // its own RunSelect, so don't pay for a throwaway plan there.
+      // its own Query call, so don't pay for a throwaway plan there.
       LogicalPlan sub = PlanSelect(*rel.ref->subquery, catalog,
-                                   /*for_explain=*/true, parallel, ctx);
+                                   /*for_explain=*/true, parallel);
       if (sub.root) {
         op->children.push_back(sub.root);
         op->est_rows = sub.root->est_rows;
@@ -292,30 +220,10 @@ int CountWindows(const sql::SelectStmt& stmt) {
 }  // namespace
 
 LogicalPlan PlanSelect(const sql::SelectStmt& stmt, const Catalog& catalog,
-                       bool for_explain, const ParallelPolicy& parallel,
-                       PlannerContext* ctx) {
+                       bool for_explain, const ParallelPolicy& parallel) {
   LogicalPlan plan;
   plan.stmt = &stmt;
   int folds = 0;
-  const bool cost_based = ctx && ctx->stats != nullptr;
-
-  // Plan-cache consult: the normalized shape key matches the trainer's
-  // repeated message/histogram queries across temp-table renames and
-  // parameter (literal) changes. A hit reuses the memoized join order and
-  // skips statistics lookups and DP enumeration below; the cheap lowering
-  // always runs. EXPLAIN never touches the cache (counters stay those of
-  // real execution).
-  // The lookup itself is deferred until the FROM relations are resolved, so
-  // the cached join order can be validated against each base table's current
-  // (uid, data version) — a cached order costed on since-modified data is
-  // evicted rather than replayed (see PlanCache::Lookup).
-  std::string cache_key;
-  CachedPlan cached;
-  bool have_cached = false;
-  const bool use_cache = ctx && ctx->cache && !for_explain;
-  if (use_cache) {
-    cache_key = PlanCache::ShapeKey(stmt, catalog);
-  }
 
   bool select_star = false;
   for (const auto& item : stmt.select_list) {
@@ -338,16 +246,10 @@ LogicalPlan PlanSelect(const sql::SelectStmt& stmt, const Catalog& catalog,
       filt->est_cols = 0;
       plan.data_root = filt;
     }
-    if (use_cache) {
-      have_cached = ctx->cache->Lookup(cache_key, {}, &cached);
-      plan.plan_cache = have_cached ? 1 : 0;
-      if (!have_cached) ctx->cache->Insert(cache_key, CachedPlan());
-    }
   } else {
     // Relations: FROM + every JOIN clause.
     std::vector<RelInfo> rels(1 + stmt.joins.size());
     FillRelInfo(stmt.from, catalog, &rels[0]);
-    rels[0].orig = 0;
     for (size_t j = 0; j < stmt.joins.size(); ++j) {
       RelInfo& rel = rels[j + 1];
       FillRelInfo(stmt.joins[j].table, catalog, &rel);
@@ -358,25 +260,7 @@ LogicalPlan PlanSelect(const sql::SelectStmt& stmt, const Catalog& catalog,
       // filter, exactly as in raw-AST execution.
       rel.condition =
           FoldConstants(stmt.joins[j].condition, /*bool_ctx=*/false, &folds);
-      rel.orig = j + 1;
     }
-
-    // Stamp the resolved base tables and consult the cache. Subquery
-    // relations carry no stamp here — their own base tables are validated by
-    // the recursive PlanSelect for the subquery.
-    std::vector<TableStamp> stamps;
-    for (const auto& rel : rels) {
-      if (rel.base && rel.tbl) {
-        stamps.push_back({rel.tbl->name(), rel.tbl->uid(),
-                          static_cast<uint64_t>(rel.tbl->num_rows())});
-      }
-    }
-    if (use_cache) {
-      have_cached = ctx->cache->Lookup(cache_key, stamps, &cached);
-      plan.plan_cache = have_cached ? 1 : 0;
-    }
-    stats::StatsManager* stats_mgr =
-        cost_based && !have_cached ? ctx->stats : nullptr;
 
     // Predicate pushdown: single-relation WHERE conjuncts fuse into the
     // owning scan. The nullable side of a LEFT JOIN is the one unsafe
@@ -402,7 +286,7 @@ LogicalPlan PlanSelect(const sql::SelectStmt& stmt, const Catalog& catalog,
         post_filters.push_back(std::move(folded));
       }
     }
-    for (auto& rel : rels) rel.est = FilteredEstimate(rel, stats_mgr);
+    for (auto& rel : rels) rel.est = FilteredEstimate(rel);
 
     // Projection pruning: a scan only materializes (and decompresses)
     // columns referenced anywhere in the statement. Qualified refs pin one
@@ -476,121 +360,55 @@ LogicalPlan PlanSelect(const sql::SelectStmt& stmt, const Catalog& catalog,
       }
     }
 
-    // Statistics-based join selectivities for the DP cost model and the
-    // join-output estimates below.
-    std::vector<double> join_sel(rels.size(), 1.0);
-    if (stats_mgr) {
-      for (size_t j = 1; j < rels.size(); ++j) {
-        join_sel[j] = JoinSelectivity(rels[j], rels, j, stats_mgr);
-      }
-    }
-
     if (reorderable) {
+      // Greedy: smallest post-filter estimate first among the clauses whose
+      // ON condition only needs relations already placed. Ties keep the
+      // written order, so the choice is a pure function of the statement and
+      // the base row counts.
       std::vector<size_t> chosen;
-      bool from_dp = false;
-      if (have_cached && cached.order.size() == order.size()) {
-        // Replay the memoized order after re-validating feasibility against
-        // this statement (the shape key guarantees it, but stay defensive).
-        std::set<int> available = {0};
-        std::vector<bool> seen(rels.size(), false);
-        bool ok = true;
-        for (size_t j : cached.order) {
-          if (j == 0 || j >= rels.size() || seen[j]) {
-            ok = false;
-            break;
-          }
+      std::set<int> available = {0};
+      std::vector<bool> placed(rels.size(), false);
+      while (chosen.size() < order.size()) {
+        size_t best = 0;
+        bool found = false;
+        for (size_t j = 1; j < rels.size(); ++j) {
+          if (placed[j]) continue;
+          bool ok = true;
           for (int r : cond_rels[j]) {
             if (r != static_cast<int>(j) && !available.count(r)) ok = false;
           }
-          if (!ok) break;
-          seen[j] = true;
-          if (rels[j].jtype == sql::JoinType::kInner) {
-            available.insert(static_cast<int>(j));
+          if (!ok) continue;
+          if (!found || rels[j].est < rels[best].est) {
+            best = j;
+            found = true;
           }
         }
-        if (ok) {
-          chosen = cached.order;
-          from_dp = cached.reordered_dp;
+        if (!found) {  // disconnected under this anchor: keep as written
+          chosen.clear();
+          break;
         }
-      }
-      if (chosen.empty() && stats_mgr &&
-          order.size() <= graph::kMaxDpClauses) {
-        // Subset-DP enumeration minimizing the sum of intermediate
-        // cardinalities. Clause k stands for rels[k + 1].
-        std::vector<graph::JoinOrderClause> clauses(order.size());
-        for (size_t j = 1; j < rels.size(); ++j) {
-          graph::JoinOrderClause& c = clauses[j - 1];
-          c.rows = rels[j].est;
-          c.selectivity = join_sel[j];
-          c.semi_or_anti = rels[j].jtype != sql::JoinType::kInner;
-          for (int r : cond_rels[j]) {
-            if (r != 0 && r != static_cast<int>(j)) c.needs.push_back(r - 1);
-          }
-        }
-        graph::JoinOrderResult res =
-            graph::EnumerateJoinOrder(rels[0].est, clauses);
-        if (res.valid) {
-          for (int k : res.order) chosen.push_back(static_cast<size_t>(k) + 1);
-          from_dp = true;
-        }
-      }
-      if (chosen.empty()) {
-        // Greedy fallback (also the reference when cost_based is off):
-        // smallest post-filter estimate first among the feasible clauses.
-        std::set<int> available = {0};
-        std::vector<bool> placed(rels.size(), false);
-        while (chosen.size() < order.size()) {
-          size_t best = 0;
-          bool found = false;
-          for (size_t j = 1; j < rels.size(); ++j) {
-            if (placed[j]) continue;
-            bool ok = true;
-            for (int r : cond_rels[j]) {
-              if (r != static_cast<int>(j) && !available.count(r)) ok = false;
-            }
-            if (!ok) continue;
-            if (!found || rels[j].est < rels[best].est) {
-              best = j;
-              found = true;
-            }
-          }
-          if (!found) {  // disconnected under this anchor: keep as written
-            chosen.clear();
-            break;
-          }
-          placed[best] = true;
-          chosen.push_back(best);
-          if (rels[best].jtype == sql::JoinType::kInner) {
-            available.insert(static_cast<int>(best));
-          }
+        placed[best] = true;
+        chosen.push_back(best);
+        if (rels[best].jtype == sql::JoinType::kInner) {
+          available.insert(static_cast<int>(best));
         }
       }
       if (chosen.size() == order.size() && chosen != order) {
         order = std::move(chosen);
         plan.joins_reordered = true;
-        if (from_dp) plan.joins_reordered_dp = true;
       }
-    }
-    if (use_cache && !have_cached) {
-      CachedPlan entry;
-      entry.order = order;
-      entry.reordered = plan.joins_reordered;
-      entry.reordered_dp = plan.joins_reordered_dp;
-      entry.stamps = std::move(stamps);
-      ctx->cache->Insert(cache_key, std::move(entry));
     }
 
     // Build the data-section tree: scans, joins in chosen order, leftover
     // multi-relation filters on top.
-    LogicalOpPtr current =
-        MakeScan(rels[0], catalog, needed, prune_enabled, for_explain,
-                 parallel, ctx);
+    LogicalOpPtr current = MakeScan(rels[0], catalog, needed, prune_enabled,
+                                    for_explain, parallel);
     double est = current->est_rows;
     int cols = current->est_cols;
     for (size_t oi : order) {
       const RelInfo& rel = rels[oi];
       LogicalOpPtr right = MakeScan(rel, catalog, needed, prune_enabled,
-                                    for_explain, parallel, ctx);
+                                    for_explain, parallel);
       auto join = std::make_shared<LogicalOp>();
       join->kind = OpKind::kJoin;
       join->join_type = rel.jtype;
@@ -598,14 +416,10 @@ LogicalPlan PlanSelect(const sql::SelectStmt& stmt, const Catalog& catalog,
       join->children = {current, right};
       switch (rel.jtype) {
         case sql::JoinType::kInner:
-          // With statistics: |L ⨝ R| = |L| · |R| · Π 1/max(ndv_l, ndv_r).
-          // Without: the pre-cost-model upper-bound heuristic.
-          join->est_rows =
-              (est < 0 || right->est_rows < 0)
-                  ? -1
-                  : (stats_mgr ? std::max(1.0, est * right->est_rows *
-                                                   join_sel[oi])
-                               : std::max(est, right->est_rows));
+          // Upper-bound heuristic: an N-to-1 key join keeps the larger side.
+          join->est_rows = (est < 0 || right->est_rows < 0)
+                               ? -1
+                               : std::max(est, right->est_rows);
           join->est_cols = (cols < 0 || right->est_cols < 0)
                                ? -1
                                : cols + right->est_cols;
@@ -618,11 +432,8 @@ LogicalPlan PlanSelect(const sql::SelectStmt& stmt, const Catalog& catalog,
           break;
         case sql::JoinType::kSemi:
         case sql::JoinType::kAnti:
-          // With statistics the filter fraction comes from the key distinct
-          // counts (see JoinSelectivity); the heuristic halves.
-          join->est_rows =
-              est < 0 ? -1
-                      : std::max(1.0, est * (stats_mgr ? join_sel[oi] : 0.5));
+          // The heuristic assumes the filter keeps half the left side.
+          join->est_rows = est < 0 ? -1 : std::max(1.0, est * 0.5);
           join->est_cols = cols;
           break;
       }

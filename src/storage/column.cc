@@ -1,7 +1,6 @@
 #include "storage/column.h"
 
 #include <algorithm>
-#include <atomic>
 #include <utility>
 
 #include "util/check.h"
@@ -10,12 +9,9 @@ namespace joinboost {
 
 namespace {
 
-std::atomic<uint64_t> g_next_chunk_uid{1};
-
 ChunkPtr SealIntsChunk(std::shared_ptr<const std::vector<int64_t>> v) {
   auto ch = std::make_shared<ColumnChunk>();
   ch->rows = v->size();
-  ch->uid = g_next_chunk_uid.fetch_add(1);
   ch->ints = std::move(v);
   return ch;
 }
@@ -23,7 +19,6 @@ ChunkPtr SealIntsChunk(std::shared_ptr<const std::vector<int64_t>> v) {
 ChunkPtr SealDoublesChunk(std::shared_ptr<const std::vector<double>> v) {
   auto ch = std::make_shared<ColumnChunk>();
   ch->rows = v->size();
-  ch->uid = g_next_chunk_uid.fetch_add(1);
   ch->dbls = std::move(v);
   return ch;
 }
@@ -80,7 +75,6 @@ void ColumnData::Encode() {
     auto enc = std::make_shared<ColumnChunk>();
     enc->rows = ch->rows;
     enc->encoded = true;
-    enc->uid = ch->uid;  // representation change, same values
     if (type_ == TypeId::kFloat64) {
       enc->enc_dbls = std::make_shared<const compression::EncodedDoubles>(
           compression::EncodeDoubles(*ch->dbls));
@@ -97,7 +91,6 @@ void ColumnData::Decode() {
     if (!ch->encoded) continue;
     auto plain = std::make_shared<ColumnChunk>();
     plain->rows = ch->rows;
-    plain->uid = ch->uid;
     if (type_ == TypeId::kFloat64) {
       plain->dbls = std::make_shared<const std::vector<double>>(
           compression::DecodeDoubles(*ch->enc_dbls));

@@ -45,14 +45,10 @@ using ColumnPtr = std::shared_ptr<ColumnData>;
 /// plain payload or a compressed one (never both) and is never mutated after
 /// it is sealed: appends add new segments behind the existing ones and
 /// rewrites build replacement segments aside, so concurrent readers keep
-/// whatever segment list they captured. `uid` is a process-unique identity
-/// that survives Encode/Decode (representation changes, values don't) —
-/// caches such as per-segment statistics key on it to recognise unchanged
-/// segments across column rebuilds.
+/// whatever segment list they captured.
 struct ColumnChunk {
   size_t rows = 0;
   bool encoded = false;
-  uint64_t uid = 0;
   std::shared_ptr<const std::vector<int64_t>> ints;
   std::shared_ptr<const std::vector<double>> dbls;
   std::shared_ptr<const compression::EncodedInts> enc_ints;
@@ -107,8 +103,7 @@ class ColumnData {
 
   /// Monotonic payload version: bumped by every value-changing mutation
   /// (ReplaceInts/ReplaceDoubles/SwapPayload). Encode/Decode/Rechunk keep the
-  /// version — they change representation, not values. Statistics caches pair
-  /// this with the column's identity to detect staleness.
+  /// version — they change representation, not values.
   uint64_t version() const { return version_; }
 
   /// Compress every plain chunk (real CPU cost). No-op when already encoded.
@@ -118,8 +113,8 @@ class ColumnData {
   void Decode();
 
   /// Re-slice into uniform chunks of `rows_per_chunk` rows (0 = one chunk).
-  /// Values, version, and encoded state are preserved; segment identities
-  /// change. Used at load time to apply EngineProfile::chunk_rows.
+  /// Values, version, and encoded state are preserved. Used at load time to
+  /// apply EngineProfile::chunk_rows.
   void Rechunk(size_t rows_per_chunk);
 
   /// Plain int64 payload; requires a single-chunk plain int/string column.

@@ -6,7 +6,8 @@ namespace joinboost {
 
 /// Configuration of genuine engine mechanisms, used to emulate the DBMS
 /// variants the paper evaluates (Figures 5 and 15). Each flag switches a real
-/// code path — see DESIGN.md "Substitutions".
+/// code path — see docs/ARCHITECTURE.md "`EngineProfile` knobs and the
+/// paper's modes".
 struct EngineProfile {
   std::string name = "D-Swap";
 
@@ -61,14 +62,6 @@ struct EngineProfile {
   /// projection pruning, constant folding, greedy join reordering). Off =
   /// execute the raw AST; kept for differential testing (planner_test.cc).
   bool use_planner = true;
-
-  /// Cost-based planning: lazy per-column statistics (equal-num-elements
-  /// histograms), histogram selectivity estimates, DP join enumeration and
-  /// the normalized-shape plan cache. Off falls back to the heuristic
-  /// greedy reorder with no cache — kept as the differential reference
-  /// (results are bit-identical either way; only join orders and the
-  /// plan_cache/joins_reordered_dp counters differ).
-  bool cost_based_planner = true;
 
   /// Compressed execution: evaluate predicates and hash keys directly on
   /// encoded columns (dictionary ids, frame-of-reference blocks) and only

@@ -1,15 +1,10 @@
 #include "storage/table.h"
 
-#include <atomic>
 #include <sstream>
 
 #include "util/check.h"
 
 namespace joinboost {
-
-namespace {
-std::atomic<uint64_t> g_next_table_uid{1};
-}  // namespace
 
 Schema::Schema(std::vector<Field> fields) : fields_(std::move(fields)) {
   for (size_t i = 0; i < fields_.size(); ++i) {
@@ -43,8 +38,7 @@ std::string Schema::ToString() const {
 Table::Table(std::string name, Schema schema, std::vector<ColumnPtr> columns)
     : name_(std::move(name)),
       schema_(std::move(schema)),
-      columns_(std::move(columns)),
-      uid_(g_next_table_uid.fetch_add(1, std::memory_order_relaxed)) {
+      columns_(std::move(columns)) {
   JB_CHECK_MSG(schema_.num_fields() == columns_.size(),
                "schema/column count mismatch in table " << name_);
   num_rows_ = columns_.empty() ? 0 : columns_[0]->size();
@@ -73,7 +67,6 @@ void Table::SetColumn(size_t i, ColumnPtr col) {
   JB_CHECK_MSG(col->type() == schema_.field(i).type,
                "SetColumn type mismatch for " << schema_.field(i).name);
   columns_[i] = std::move(col);
-  ++structure_version_;
 }
 
 void Table::AddColumn(Field field, ColumnPtr col) {
@@ -87,7 +80,6 @@ void Table::AddColumn(Field field, ColumnPtr col) {
                "AddColumn type mismatch for " << field.name);
   schema_.AddField(std::move(field));
   columns_.push_back(std::move(col));
-  ++structure_version_;
 }
 
 size_t Table::num_chunks() const {
@@ -101,12 +93,6 @@ std::vector<size_t> Table::chunk_offsets() const {
 
 void Table::Rechunk(size_t rows_per_chunk) {
   for (auto& c : columns_) c->Rechunk(rows_per_chunk);
-}
-
-uint64_t Table::DataVersion() const {
-  uint64_t v = structure_version_;
-  for (const auto& c : columns_) v += c->version();
-  return v;
 }
 
 void Table::EncodeAll() {

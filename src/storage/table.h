@@ -72,18 +72,6 @@ class Table {
   /// EngineProfile::chunk_rows; values and versions are unchanged.
   void Rechunk(size_t rows_per_chunk);
 
-  /// Process-unique table identity, assigned at construction. Replacing a
-  /// table in the catalog (copy-on-write append/update, CREATE OR REPLACE)
-  /// produces a new uid even though the name is unchanged — caches keyed on
-  /// table contents pair the name with (uid, DataVersion) to detect it.
-  uint64_t uid() const { return uid_; }
-
-  /// Monotonic data version: column-set changes plus the sum of per-column
-  /// payload versions, so both structural edits (SetColumn/AddColumn) and
-  /// in-place payload mutations (column swap) advance it. Two reads of the
-  /// same uid with equal DataVersion saw identical data.
-  uint64_t DataVersion() const;
-
   /// True when this table lives outside the DBMS proper (the paper's DP mode:
   /// fact table held as a Pandas dataframe, scanned via an interop layer).
   bool dataframe() const { return dataframe_; }
@@ -106,8 +94,6 @@ class Table {
   std::vector<ColumnPtr> columns_;
   size_t num_rows_ = 0;
   bool dataframe_ = false;
-  uint64_t uid_ = 0;
-  uint64_t structure_version_ = 0;  ///< bumped by SetColumn/AddColumn
 };
 
 /// Convenience builder used by generators and tests.

@@ -7,7 +7,8 @@
 namespace joinboost {
 
 /// Error thrown on violated internal invariants and bad user input.
-/// A research library favours fail-fast over status plumbing; see DESIGN.md.
+/// A research library favours fail-fast over status plumbing; see
+/// docs/ARCHITECTURE.md "Typed error taxonomy".
 class JbError : public std::runtime_error {
  public:
   explicit JbError(const std::string& msg) : std::runtime_error(msg) {}

@@ -32,8 +32,7 @@ inline const char* AbortReasonName(AbortReason r) {
 
 /// Cooperative abort raised at a QueryGuard check point. The engine
 /// guarantees the Database stays consistent when one of these unwinds: no
-/// partial catalog registration, no poisoned plan-cache or StatsManager
-/// entries, WAL and version store untouched.
+/// partial catalog registration, WAL and version store untouched.
 class QueryAborted : public JbError {
  public:
   QueryAborted(AbortReason reason, const std::string& detail)

@@ -1,6 +1,5 @@
 // Chunked column storage: builder layouts, layout-oblivious reads,
-// rewrite-free appends, per-chunk statistics reuse, and the unified
-// Query(ReadContext) entry point.
+// rewrite-free appends, and the unified Query(ReadContext) entry point.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +9,6 @@
 
 #include "exec/engine.h"
 #include "sql/parser.h"
-#include "stats/stats_manager.h"
 #include "storage/column.h"
 #include "storage/table.h"
 #include "test_util.h"
@@ -307,51 +305,6 @@ TEST(AppendRowsTest, MonolithicProfileAppendAlsoAvoidsRewrites) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-chunk statistics invalidation.
-// ---------------------------------------------------------------------------
-
-TEST(ChunkedStatsTest, AppendReusesSegmentStatsAndMatchesMonolithicBuild) {
-  EngineProfile p = EngineProfile::DSwap();
-  p.chunk_rows = 1024;
-  Database db(p);
-  std::vector<int64_t> vals;
-  for (int i = 0; i < 3000; ++i) vals.push_back(i % 97);
-  db.LoadTable(TableBuilder("t").AddInts("x", vals).Build());
-
-  stats::StatsManager mgr;
-  TablePtr t1 = db.catalog().Get("t");
-  auto s1 = mgr.Get(t1, size_t{0});
-  ASSERT_NE(s1, nullptr);
-  size_t misses_after_first = mgr.seg_misses();
-  EXPECT_GT(misses_after_first, 0u);
-  EXPECT_EQ(mgr.seg_hits(), 0u);
-
-  db.AppendRows("t", IntBatch("x", {1000, 2000, 3000}));
-  TablePtr t2 = db.catalog().Get("t");
-  auto s2 = mgr.Get(t2, size_t{0});
-  ASSERT_NE(s2, nullptr);
-  // The pre-existing segments' sorted distinct lists were reused; only the
-  // freshly sealed batch segment was built.
-  EXPECT_EQ(mgr.seg_hits(), t1->column(size_t{0})->num_chunks());
-  EXPECT_EQ(mgr.seg_misses(), misses_after_first + 1);
-
-  // The merged statistics are exactly what a monolithic build produces.
-  stats::ColumnStats ref =
-      stats::StatsManager::BuildColumnStats(*t2->column(size_t{0}));
-  EXPECT_EQ(s2->row_count, ref.row_count);
-  EXPECT_EQ(s2->null_count, ref.null_count);
-  EXPECT_EQ(s2->distinct_count, ref.distinct_count);
-  EXPECT_EQ(s2->min, ref.min);
-  EXPECT_EQ(s2->max, ref.max);
-  ASSERT_EQ(s2->histogram.buckets().size(), ref.histogram.buckets().size());
-  for (int64_t v : {0, 50, 96, 1000, 3000}) {
-    EXPECT_EQ(s2->histogram.EstimateEq(static_cast<double>(v)),
-              ref.histogram.EstimateEq(static_cast<double>(v)))
-        << v;
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Unified read entry point.
 // ---------------------------------------------------------------------------
 
@@ -360,10 +313,9 @@ TEST(ReadContextTest, DefaultContextMatchesLiveCatalogQuery) {
   db.LoadTable(TableBuilder("t").AddInts("x", Iota(100)).Build());
   sql::Statement stmt = sql::Parse("SELECT SUM(t.x) AS s FROM t");
   ExecTable via_ctx = db.Query(exec::ReadContext{}, *stmt.select);
-  ExecTable via_legacy = db.RunSelect(*stmt.select);
   ASSERT_EQ(via_ctx.rows, 1u);
   EXPECT_EQ(via_ctx.GetValue(0, 0).AsDouble(),
-            via_legacy.GetValue(0, 0).AsDouble());
+            db.QueryScalarDouble("SELECT SUM(t.x) AS s FROM t"));
 }
 
 TEST(ReadContextTest, PinnedCatalogShieldsReadersFromWriters) {

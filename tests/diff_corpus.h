@@ -1,3 +1,5 @@
+#pragma once
+
 // Shared corpus for differential and chaos testing: deterministic star-schema
 // tables (fact ⋈ d1 ⋈ d2), a seeded random query generator covering the
 // engine's supported SELECT surface, and row stringification for bit-exact
@@ -8,7 +10,6 @@
 // Everything here is deterministic in its seed arguments: same seed, same
 // tables, same query text — that is what lets a chaos run compare its
 // post-fault rerun against a never-faulted baseline bit for bit.
-#pragma once
 
 #include <cstdio>
 #include <string>

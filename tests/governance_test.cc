@@ -124,8 +124,8 @@ TEST_F(GovernedQueryTest, PreCancelledGuardAbortsBeforeAnyOutput) {
     EXPECT_EQ(e.reason(), AbortReason::kCancelled);
   }
   EXPECT_EQ(db_->PlanStatsTotals().queries_cancelled, 1u);
-  // The same engine answers the same query once the guard is reset — no
-  // poisoned plan-cache or stats entries.
+  // The same engine answers the same query once the guard is reset — the
+  // abort left no state behind.
   g.ResetCancel();
   ExecTable ok = Governed(q, &g);
   EXPECT_EQ(RowStrings(ok), RowStrings(*db_->Query(q)));

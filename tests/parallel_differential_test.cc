@@ -366,145 +366,6 @@ TEST_F(CompressedDifferentialTest, EncodedAndDecodedExecutionAreBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Cost-model axis: {cost-based, greedy, planner off} x {1, N threads}. The
-// cost-based planner may legally pick a different join order than the greedy
-// heuristic, so the cross-mode contract is the same as planner on/off:
-// ordered-exact for ORDER BY queries, row multisets otherwise. Within one
-// mode, thread count must not change a bit — including the plan-cache and
-// DP counters, which are part of the determinism surface the CI bench guard
-// pins. Reuses JB_DIFF_SEED / JB_DIFF_COUNT for nightly widening.
-// ---------------------------------------------------------------------------
-
-EngineProfile CostDiffProfile(int mode, int threads) {
-  // mode 0: cost-based planner; 1: greedy planner; 2: planner off.
-  EngineProfile p = DiffProfile(/*use_planner=*/mode != 2, threads);
-  p.cost_based_planner = mode == 0;
-  return p;
-}
-
-class CostBasedDifferentialTest : public ::testing::Test {
- protected:
-  static constexpr size_t kRows = 6000;
-  struct Engine {
-    int mode;  ///< 0 cost-based, 1 greedy, 2 planner off
-    int threads;
-    std::unique_ptr<Database> db;
-  };
-
-  void SetUp() override {
-    for (int mode : {0, 1, 2}) {
-      for (int threads : {1, 4}) {
-        engines_.push_back({mode, threads,
-                            std::make_unique<Database>(
-                                CostDiffProfile(mode, threads))});
-        BuildDiffTables(engines_.back().db.get(), /*seed=*/97, kRows);
-      }
-    }
-  }
-
-  void CheckQuery(const GenQuery& q) {
-    std::vector<std::vector<std::string>> rows(engines_.size());
-    for (size_t i = 0; i < engines_.size(); ++i) {
-      rows[i] = RowStrings(*engines_[i].db->Query(q.sql));
-    }
-    // Same mode, different thread count -> bit-identical row sequences.
-    std::vector<int> mode_ref = {-1, -1, -1};
-    for (size_t i = 0; i < engines_.size(); ++i) {
-      int& ref = mode_ref[static_cast<size_t>(engines_[i].mode)];
-      if (ref < 0) {
-        ref = static_cast<int>(i);
-        continue;
-      }
-      EXPECT_EQ(rows[static_cast<size_t>(ref)], rows[i])
-          << "mode=" << engines_[i].mode << ": 1 thread vs N threads differ";
-    }
-    // Across modes: exact when ordered, multiset otherwise (the DP order may
-    // legally differ from the greedy order).
-    auto canon = [&](int ref) {
-      auto r = rows[static_cast<size_t>(ref)];
-      if (!q.ordered) std::sort(r.begin(), r.end());
-      return r;
-    };
-    auto cost = canon(mode_ref[0]);
-    EXPECT_EQ(cost, canon(mode_ref[1])) << "cost-based vs greedy differ";
-    EXPECT_EQ(cost, canon(mode_ref[2])) << "cost-based vs planner-off differ";
-  }
-
-  std::vector<Engine> engines_;
-};
-
-TEST_F(CostBasedDifferentialTest, CostModelNeverChangesResults) {
-  uint64_t base_seed = 0x436F7374ULL;  // distinct from the other axes
-  if (const char* env = std::getenv("JB_DIFF_SEED")) {
-    base_seed = std::strtoull(env, nullptr, 0);
-  }
-  size_t count = 48;
-  if (const char* env = std::getenv("JB_DIFF_COUNT")) {
-    count = std::strtoull(env, nullptr, 0);
-  }
-  for (size_t i = 0; i < count; ++i) {
-    uint64_t seed = base_seed + i;
-    GenQuery q = GenerateQuery(seed);
-    SCOPED_TRACE("replay: JB_DIFF_SEED=" + std::to_string(seed) +
-                 " JB_DIFF_COUNT=1 | seed " + std::to_string(seed) + " | " +
-                 q.sql);
-    CheckQuery(q);
-    if (::testing::Test::HasFailure()) {
-      std::fprintf(stderr,
-                   "[parallel_differential] FAILING COST-AXIS SEED: %llu\n"
-                   "[parallel_differential] replay with: JB_DIFF_SEED=%llu "
-                   "JB_DIFF_COUNT=1\n",
-                   static_cast<unsigned long long>(seed),
-                   static_cast<unsigned long long>(seed));
-      break;
-    }
-  }
-  // Same shape, different literals: the second run must hit the shape cache
-  // (literals are parameters in the key) and still satisfy the full contract.
-  for (const char* lit : {"1", "7"}) {
-    GenQuery fixed;
-    fixed.sql = std::string("SELECT fact.k1 AS a, SUM(fact.y) AS s FROM fact "
-                            "JOIN d1 ON fact.k1 = d1.k1 "
-                            "JOIN d2 ON fact.k2 = d2.k2 WHERE fact.x0 > ") +
-                lit + " GROUP BY fact.k1 ORDER BY a";
-    fixed.ordered = true;
-    SCOPED_TRACE(fixed.sql);
-    CheckQuery(fixed);
-  }
-  // Counter contract after an identical query stream.
-  std::vector<plan::PlanStats> snap;
-  for (const Engine& e : engines_) snap.push_back(e.db->PlanStatsTotals());
-  int cost1 = -1, costN = -1;
-  for (size_t i = 0; i < engines_.size(); ++i) {
-    const Engine& e = engines_[i];
-    if (e.mode == 0) {
-      (e.threads > 1 ? costN : cost1) = static_cast<int>(i);
-    } else if (e.mode == 1) {
-      // Greedy engines never consult the plan cache or the DP enumerator.
-      EXPECT_EQ(snap[i].plan_cache_hits + snap[i].plan_cache_misses, 0u);
-      EXPECT_EQ(snap[i].joins_reordered_dp, 0u);
-    } else {
-      EXPECT_EQ(snap[i].queries_planned, 0u)
-          << "planner-off engine planned a query";
-    }
-  }
-  ASSERT_GE(cost1, 0);
-  ASSERT_GE(costN, 0);
-  const plan::PlanStats& s1 = snap[static_cast<size_t>(cost1)];
-  const plan::PlanStats& sN = snap[static_cast<size_t>(costN)];
-  // Every planned query either hit or missed the shape cache; repeated
-  // generator shapes make both sides positive.
-  EXPECT_EQ(s1.plan_cache_hits + s1.plan_cache_misses, s1.queries_planned);
-  EXPECT_GT(s1.plan_cache_hits, 0u);
-  EXPECT_GT(s1.plan_cache_misses, 0u);
-  // Planning decisions are thread-count independent, bit for bit.
-  EXPECT_EQ(s1.plan_cache_hits, sN.plan_cache_hits);
-  EXPECT_EQ(s1.plan_cache_misses, sN.plan_cache_misses);
-  EXPECT_EQ(s1.joins_reordered_dp, sN.joins_reordered_dp);
-  EXPECT_EQ(s1.joins_reordered, sN.joins_reordered);
-}
-
-// ---------------------------------------------------------------------------
 // Chunk-size axis: the horizontal storage layout is invisible to results.
 // {whole-table chunk, 1024-row chunks, 999-row chunks (ragged last)} x
 // {planner on/off} x {1, N threads} over genuinely loaded (encoded) storage.

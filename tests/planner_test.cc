@@ -10,6 +10,7 @@
 #include "core/evaluate.h"
 #include "core/params.h"
 #include "core/train.h"
+#include "data/generators.h"
 #include "exec/engine.h"
 #include "plan/logical_plan.h"
 #include "sql/parser.h"
@@ -241,6 +242,17 @@ TEST_F(PlannerDifferentialTest, UpdateAfterPlannedSelectsStaysIdentical) {
 // EXPLAIN golden tests over message-passing query shapes.
 // ---------------------------------------------------------------------------
 
+/// Run an EXPLAIN statement and join its plan lines.
+std::string ExplainOf(Database* db, const std::string& q) {
+  auto t = db->Query(q);
+  std::string out;
+  for (size_t r = 0; r < t->rows; ++r) {
+    out += t->GetValue(r, 0).s;
+    out += "\n";
+  }
+  return out;
+}
+
 class PlannerExplainTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -260,13 +272,7 @@ class PlannerExplainTest : public ::testing::Test {
   }
 
   std::string ExplainText(const std::string& explain_sql) {
-    auto t = db_->Query(explain_sql);
-    std::string out;
-    for (size_t r = 0; r < t->rows; ++r) {
-      out += t->GetValue(r, 0).s;
-      out += "\n";
-    }
-    return out;
+    return ExplainOf(db_.get(), explain_sql);
   }
 
   std::unique_ptr<Database> db_;
@@ -278,15 +284,14 @@ TEST_F(PlannerExplainTest, MessageQueryGolden) {
   std::string text = ExplainText(
       "EXPLAIN SELECT fact.k1, SUM(fact.s * m.c) AS s FROM fact "
       "JOIN m ON fact.k1 = m.k1 WHERE fact.x0 > 0.5 GROUP BY fact.k1");
-  // The fact scan estimate is exact (rows~5: the histogram sees 5 of 8 rows
-  // with x0 > 0.5), and the join estimate uses 1/max(ndv) on the key:
-  // 5 * 3 / max(3, 3) = 5.
+  // The fact scan estimate is the heuristic range selectivity, 8 * 0.3 =
+  // 2.4, and the inner join keeps the larger side: max(2.4, 3) = 3.
   EXPECT_EQ(text,
             "Project [k1, s] (rows~1, cols=2)\n"
             "  Aggregate keys=[fact.k1] aggs=1 (rows~1, cols=2)\n"
-            "    Join INNER on (fact.k1 = m.k1) (rows~5, cols=5)\n"
+            "    Join INNER on (fact.k1 = m.k1) (rows~3, cols=5)\n"
             "      Scan fact [k1, s, x0] filter=(fact.x0 > 0.5) "
-            "(rows~5/8, cols=3/4)\n"
+            "(rows~2/8, cols=3/4)\n"
             "      Scan m [k1, c] (rows~3/3, cols=2/3)\n"
             "-- rules: pushed=1\n");
 }
@@ -296,15 +301,14 @@ TEST_F(PlannerExplainTest, SelectorQueryGolden) {
   std::string text = ExplainText(
       "EXPLAIN SELECT DISTINCT fact.k1 FROM fact "
       "SEMI JOIN sel ON fact.k1 = sel.k1 WHERE fact.x0 > 0.5");
-  // Histogram-exact fact estimate (5 of 8 rows pass x0 > 0.5); the semi join
-  // filters by key coverage ndv(sel.k1)/ndv(fact.k1) = 2/3: 5 * 2/3 rounds
-  // to 3, and DISTINCT halves that to ~2 (the true distinct count).
+  // Heuristic fact estimate 8 * 0.3 = 2.4; the semi join halves it to 1.2,
+  // and DISTINCT's halving is floored at 1 row.
   EXPECT_EQ(text,
-            "Distinct (rows~2)\n"
-            "  Project [k1] (rows~3, cols=1)\n"
-            "    Join SEMI on (fact.k1 = sel.k1) (rows~3, cols=2)\n"
+            "Distinct (rows~1)\n"
+            "  Project [k1] (rows~1, cols=1)\n"
+            "    Join SEMI on (fact.k1 = sel.k1) (rows~1, cols=2)\n"
             "      Scan fact [k1, x0] filter=(fact.x0 > 0.5) "
-            "(rows~5/8, cols=2/4)\n"
+            "(rows~2/8, cols=2/4)\n"
             "      Scan sel [*] (rows~2/2, cols=1/1)\n"
             "-- rules: pushed=1\n");
 }
@@ -332,20 +336,36 @@ TEST_F(PlannerExplainTest, ExplainAnalyzeGolden) {
   EXPECT_EQ(text,
             "Project [k1, s] (rows~1, act=3, cols=2)\n"
             "  Aggregate keys=[fact.k1] aggs=1 (rows~1, cols=2)\n"
-            "    Join INNER on (fact.k1 = m.k1) (rows~5, act=5, cols=5)\n"
+            "    Join INNER on (fact.k1 = m.k1) (rows~3, act=5, cols=5)\n"
             "      Scan fact [k1, s, x0] filter=(fact.x0 > 0.5) "
-            "(rows~5/8, act=5, cols=3/4)\n"
+            "(rows~2/8, act=5, cols=3/4)\n"
             "      Scan m [k1, c] (rows~3/3, act=3, cols=2/3)\n"
             "-- rules: pushed=1\n");
 }
 
+TEST(PlannerEngineTest, ExplainAnalyzeWorkReachesPlanStatsTotals) {
+  // EXPLAIN ANALYZE executes its statement, so its scan must reach the
+  // database totals like any other query's; plain EXPLAIN runs nothing.
+  Database db(EngineProfile::DSwap());
+  db.RegisterTable(TableBuilder("r").AddInts("a", {1, 2, 3}).Build());
+  plan::PlanStats before = db.PlanStatsTotals();
+  db.Query("EXPLAIN SELECT COUNT(*) AS c FROM r WHERE r.a > 1");
+  EXPECT_EQ((db.PlanStatsTotals() - before).scans, 0u);
+  db.Query("EXPLAIN ANALYZE SELECT COUNT(*) AS c FROM r WHERE r.a > 1");
+  plan::PlanStats d = db.PlanStatsTotals() - before;
+  EXPECT_EQ(d.scans, 1u);
+  EXPECT_EQ(d.rows_scan_input, 3u);
+  EXPECT_EQ(d.rows_scan_output, 2u);
+  EXPECT_EQ(d.queries_planned, 1u);
+}
+
 // ---------------------------------------------------------------------------
-// DP join ordering on a 4-relation snowflake: the written order is
-// deliberately suboptimal and the enumerator must move the filtered
-// dimension first. Pins both the chosen order and the cardinality estimates.
+// Greedy join ordering on a 4-relation snowflake: the written order is
+// deliberately suboptimal and the reorder must move the filtered dimension
+// first. Pins both the chosen order and the cardinality estimates.
 // ---------------------------------------------------------------------------
 
-TEST(SnowflakeExplainTest, DpReordersFilteredDimensionFirst) {
+TEST(SnowflakeExplainTest, GreedyReordersFilteredDimensionFirst) {
   Database db(EngineProfile::DSwap());
   const size_t kRows = 1000;
   std::vector<int64_t> k1(kRows), k2(kRows), k3(kRows);
@@ -374,10 +394,9 @@ TEST(SnowflakeExplainTest, DpReordersFilteredDimensionFirst) {
   dim("d2", "k2", 5);
   dim("d3", "k3", 200);
 
-  // Written order d1, d2, d3. The filter reduces d2 to ~1 row, so joining it
-  // first shrinks every later intermediate: cost(d2,d1,d3) = 200+200+200
-  // versus cost(d1,d2,d3) = 1000+200+200. Ties after d2 break toward the
-  // lowest-index clause (d1 before d3).
+  // Written order d1, d2, d3. The filter cuts d2's estimate to 10% of its
+  // 5 rows (~1 row), below d1's 50 and d3's 200, so greedy joins d2 first,
+  // then d1, then d3.
   auto t = db.Query(
       "EXPLAIN SELECT SUM(fact.v) AS s FROM fact "
       "JOIN d1 ON fact.k1 = d1.k1 "
@@ -391,14 +410,14 @@ TEST(SnowflakeExplainTest, DpReordersFilteredDimensionFirst) {
   EXPECT_EQ(text,
             "Project [s] (rows~1, cols=1)\n"
             "  Aggregate keys=[] aggs=1 (rows~1, cols=1)\n"
-            "    Join INNER on (fact.k3 = d3.k3) (rows~200, cols=8)\n"
-            "      Join INNER on (fact.k1 = d1.k1) (rows~200, cols=7)\n"
-            "        Join INNER on (fact.k2 = d2.k2) (rows~200, cols=6)\n"
+            "    Join INNER on (fact.k3 = d3.k3) (rows~1000, cols=8)\n"
+            "      Join INNER on (fact.k1 = d1.k1) (rows~1000, cols=7)\n"
+            "        Join INNER on (fact.k2 = d2.k2) (rows~1000, cols=6)\n"
             "          Scan fact [*] (rows~1000/1000, cols=4/4)\n"
             "          Scan d2 [*] filter=(d2.a = 0) (rows~1/5, cols=2/2)\n"
             "        Scan d1 [k1] (rows~50/50, cols=1/2)\n"
             "      Scan d3 [k3] (rows~200/200, cols=1/2)\n"
-            "-- rules: pushed=1 joins-reordered-dp\n");
+            "-- rules: pushed=1 joins-reordered\n");
 }
 
 TEST_F(PlannerExplainTest, ExplainTextIsAFixedPointUnderRoundTrip) {
@@ -521,6 +540,296 @@ TEST(PlannerRulesTest, GreedyJoinReorderJoinsSmallestRelationFirst) {
       "SELECT COUNT(*) AS c FROM big JOIN mid ON big.a = mid.a "
       "JOIN tiny ON big.a = tiny.a");
   EXPECT_EQ(c->GetValue(0, 0).i, 20);  // a=3 and a=4 appear 10x each in big
+}
+
+TEST(GreedyReorderTest, UsesPostFilterEstimatesNotRawRowCounts) {
+  // dim_big has 5x the rows of dim_small, but the equality filter on it cuts
+  // the heuristic estimate to 10%: 100 < 200, so the greedy reorder must
+  // join the *filtered* big dimension first. Ordering by raw catalog row
+  // counts would pick dim_small.
+  Database db(EngineProfile::DSwap());
+  std::vector<int64_t> fk1, fk2;
+  for (int i = 0; i < 400; ++i) {
+    fk1.push_back(i % 1000);
+    fk2.push_back(i % 200);
+  }
+  std::vector<int64_t> bk, bb, sk;
+  for (int i = 0; i < 1000; ++i) {
+    bk.push_back(i);
+    bb.push_back(i % 7);
+  }
+  for (int i = 0; i < 200; ++i) sk.push_back(i);
+  db.RegisterTable(
+      TableBuilder("fact").AddInts("k1", fk1).AddInts("k2", fk2).Build());
+  db.RegisterTable(
+      TableBuilder("dim_big").AddInts("k1", bk).AddInts("b", bb).Build());
+  db.RegisterTable(TableBuilder("dim_small").AddInts("k2", sk).Build());
+  std::string text = ExplainOf(
+      &db,
+      "EXPLAIN SELECT COUNT(*) AS c FROM fact "
+      "JOIN dim_small ON fact.k2 = dim_small.k2 "
+      "JOIN dim_big ON fact.k1 = dim_big.k1 WHERE dim_big.b = 3");
+  size_t big = text.find("Scan dim_big");
+  size_t small = text.find("Scan dim_small");
+  ASSERT_NE(big, std::string::npos) << text;
+  ASSERT_NE(small, std::string::npos) << text;
+  EXPECT_LT(big, small) << "filtered big dimension not joined first:\n" << text;
+  EXPECT_NE(text.find("joins-reordered"), std::string::npos) << text;
+}
+
+TEST(GreedyReorderTest, ThirteenDimensionStarJoinsSmallestDimensionFirst) {
+  // 13 dimensions written largest first (d0 has 14 keys, d12 has 2): greedy
+  // reverses the order.
+  Database db(EngineProfile::DSwap());
+  const int kDims = 13;
+  TableBuilder fact("fact");
+  std::vector<int64_t> v(100, 1);
+  for (int d = 0; d < kDims; ++d) {
+    int64_t keys = 14 - d;  // descending sizes: greedy reverses the order
+    std::vector<int64_t> fk(100);
+    for (int i = 0; i < 100; ++i) fk[static_cast<size_t>(i)] = i % keys;
+    fact.AddInts("k" + std::to_string(d), fk);
+    std::vector<int64_t> dk(static_cast<size_t>(keys));
+    for (int64_t i = 0; i < keys; ++i) dk[static_cast<size_t>(i)] = i;
+    db.RegisterTable(TableBuilder("d" + std::to_string(d))
+                         .AddInts("k" + std::to_string(d), dk)
+                         .Build());
+  }
+  fact.AddInts("v", v);
+  db.RegisterTable(fact.Build());
+  std::string sql = "SELECT SUM(fact.v) AS s FROM fact";
+  for (int d = 0; d < kDims; ++d) {
+    std::string n = std::to_string(d);
+    sql += " JOIN d" + n + " ON fact.k" + n + " = d" + n + ".k" + n;
+  }
+  // Scans render in join order after the anchor: d12, d11, ..., d0.
+  std::string text = ExplainOf(&db, "EXPLAIN " + sql);
+  size_t prev = text.find("Scan fact");
+  ASSERT_NE(prev, std::string::npos) << text;
+  for (int d = kDims - 1; d >= 0; --d) {
+    size_t pos = text.find("Scan d" + std::to_string(d) + " ");
+    ASSERT_NE(pos, std::string::npos) << text;
+    EXPECT_GT(pos, prev) << "d" << d << " out of greedy order:\n" << text;
+    prev = pos;
+  }
+  plan::PlanStats before = db.PlanStatsTotals();
+  auto t = db.Query(sql);
+  ASSERT_EQ(t->rows, 1u);
+  EXPECT_EQ(t->GetValue(0, 0).AsDouble(), 100.0);
+  plan::PlanStats d = db.PlanStatsTotals() - before;
+  EXPECT_EQ(d.joins_reordered, 1u) << "greedy did not reorder";
+}
+
+// ---------------------------------------------------------------------------
+// Greedy join order: the FROM relation stays the anchor, and each step joins
+// the feasible clause (its ON condition only needs relations already placed)
+// with the smallest post-filter estimate.
+// ---------------------------------------------------------------------------
+
+/// Relations in the order their scans render: the FROM anchor first, then
+/// the join order (EXPLAIN prints the left-deep join tree pre-order).
+std::vector<std::string> ScanOrder(const std::string& explain) {
+  std::vector<std::string> out;
+  size_t pos = 0;
+  while ((pos = explain.find("Scan ", pos)) != std::string::npos) {
+    pos += 5;
+    size_t end = explain.find(' ', pos);
+    out.push_back(explain.substr(pos, end - pos));
+  }
+  return out;
+}
+
+/// Dimension `name` with a dense key column `key` (0..rows-1) and an
+/// attribute `a` equal to the key.
+void RegisterDim(Database* db, const std::string& name, const std::string& key,
+                 int64_t rows) {
+  std::vector<int64_t> k(static_cast<size_t>(rows));
+  for (int64_t i = 0; i < rows; ++i) k[static_cast<size_t>(i)] = i;
+  db->RegisterTable(TableBuilder(name).AddInts(key, k).AddInts("a", k).Build());
+}
+
+/// The same statement through a planner-off engine over the same tables.
+double UnplannedScalar(const std::vector<TablePtr>& tables,
+                       const std::string& sql) {
+  EngineProfile p = EngineProfile::DSwap();
+  p.use_planner = false;
+  Database db(p);
+  for (const TablePtr& t : tables) db.RegisterTable(t);
+  return db.QueryScalarDouble(sql);
+}
+
+TEST(JoinOrderTest, PicksTheCheapestFeasibleOrder) {
+  // Written largest first: c (200 rows), a (50), b (5). Every clause only
+  // needs the anchor, so greedy joins b, a, c.
+  Database db(EngineProfile::DSwap());
+  std::vector<int64_t> ka(1000), kb(1000), kc(1000);
+  for (size_t i = 0; i < ka.size(); ++i) {
+    ka[i] = static_cast<int64_t>(i % 50);
+    kb[i] = static_cast<int64_t>(i % 5);
+    kc[i] = static_cast<int64_t>(i % 200);
+  }
+  db.RegisterTable(TableBuilder("fact")
+                       .AddInts("ka", ka)
+                       .AddInts("kb", kb)
+                       .AddInts("kc", kc)
+                       .Build());
+  RegisterDim(&db, "a", "ka", 50);
+  RegisterDim(&db, "b", "kb", 5);
+  RegisterDim(&db, "c", "kc", 200);
+  const std::string sql =
+      "SELECT COUNT(*) AS n FROM fact JOIN c ON fact.kc = c.kc "
+      "JOIN a ON fact.ka = a.ka JOIN b ON fact.kb = b.kb";
+  std::string text = ExplainOf(&db, "EXPLAIN " + sql);
+  EXPECT_EQ(ScanOrder(text),
+            (std::vector<std::string>{"fact", "b", "a", "c"}))
+      << text;
+  EXPECT_NE(text.find("joins-reordered"), std::string::npos) << text;
+  EXPECT_EQ(db.QueryScalarDouble(sql), 1000.0);
+}
+
+TEST(JoinOrderTest, DependenciesForceOrder) {
+  // x hangs off a (snowflake: its ON condition references a), so even though
+  // x is by far the smallest relation it cannot be joined before a. Greedy
+  // takes d (50 rows) over a (100 rows), then a, and only then x.
+  Database db(EngineProfile::DSwap());
+  std::vector<int64_t> fa(400), fd(400);
+  for (size_t i = 0; i < fa.size(); ++i) {
+    fa[i] = static_cast<int64_t>(i % 100);
+    fd[i] = static_cast<int64_t>(i % 50);
+  }
+  std::vector<int64_t> ak(100), aj(100);
+  for (size_t i = 0; i < ak.size(); ++i) {
+    ak[i] = static_cast<int64_t>(i);
+    aj[i] = static_cast<int64_t>(i % 2);
+  }
+  db.RegisterTable(
+      TableBuilder("fact").AddInts("ka", fa).AddInts("kd", fd).Build());
+  db.RegisterTable(TableBuilder("a").AddInts("ka", ak).AddInts("j", aj).Build());
+  db.RegisterTable(TableBuilder("x").AddInts("j", {1}).Build());
+  RegisterDim(&db, "d", "kd", 50);
+  const std::string sql =
+      "SELECT COUNT(*) AS n FROM fact JOIN a ON fact.ka = a.ka "
+      "JOIN x ON a.j = x.j JOIN d ON fact.kd = d.kd";
+  std::string text = ExplainOf(&db, "EXPLAIN " + sql);
+  EXPECT_EQ(ScanOrder(text),
+            (std::vector<std::string>{"fact", "d", "a", "x"}))
+      << text;
+  EXPECT_NE(text.find("joins-reordered"), std::string::npos) << text;
+  // Odd ka values have j = 1: half the fact rows survive the join with x.
+  EXPECT_EQ(db.QueryScalarDouble(sql), 200.0);
+  EXPECT_EQ(UnplannedScalar({db.catalog().Get("fact"), db.catalog().Get("a"),
+                             db.catalog().Get("x"), db.catalog().Get("d")},
+                            sql),
+            200.0);
+}
+
+TEST(JoinOrderTest, SemiJoinsNeverSatisfyDependencies) {
+  // A semi join drops its right side's columns, so placing s never makes s
+  // available to d's ON condition. d therefore has no feasible slot, and the
+  // planner keeps the written order instead of moving s in front of d.
+  Database db(EngineProfile::DSwap());
+  db.RegisterTable(TableBuilder("fact").AddInts("k", {0, 1, 2, 3}).Build());
+  db.RegisterTable(TableBuilder("s").AddInts("k", {1, 2}).Build());
+  RegisterDim(&db, "d", "k", 4);
+  std::string text = ExplainOf(
+      &db,
+      "EXPLAIN SELECT COUNT(*) AS n FROM fact JOIN d ON s.k = d.k "
+      "SEMI JOIN s ON fact.k = s.k");
+  EXPECT_EQ(ScanOrder(text), (std::vector<std::string>{"fact", "d", "s"}))
+      << text;
+  EXPECT_EQ(text.find("joins-reordered"), std::string::npos) << text;
+}
+
+TEST(JoinOrderTest, TieBreaksAreDeterministic) {
+  // Equal estimates keep the written order: p and r (10 rows) tie, as do q
+  // and t (5 rows), so greedy joins q, t, p, r.
+  Database db(EngineProfile::DSwap());
+  std::vector<int64_t> k10(100), k5(100);
+  for (size_t i = 0; i < k10.size(); ++i) {
+    k10[i] = static_cast<int64_t>(i % 10);
+    k5[i] = static_cast<int64_t>(i % 5);
+  }
+  db.RegisterTable(TableBuilder("fact")
+                       .AddInts("kp", k10)
+                       .AddInts("kq", k5)
+                       .AddInts("kr", k10)
+                       .AddInts("kt", k5)
+                       .Build());
+  RegisterDim(&db, "p", "kp", 10);
+  RegisterDim(&db, "q", "kq", 5);
+  RegisterDim(&db, "r", "kr", 10);
+  RegisterDim(&db, "t", "kt", 5);
+  const std::string sql =
+      "EXPLAIN SELECT COUNT(*) AS n FROM fact JOIN p ON fact.kp = p.kp "
+      "JOIN q ON fact.kq = q.kq JOIN r ON fact.kr = r.kr "
+      "JOIN t ON fact.kt = t.kt";
+  std::string text = ExplainOf(&db, sql);
+  EXPECT_EQ(ScanOrder(text),
+            (std::vector<std::string>{"fact", "q", "t", "p", "r"}))
+      << text;
+  EXPECT_EQ(ExplainOf(&db, sql), text) << "re-planning changed the order";
+
+  // All-equal estimates: the written order is already greedy's choice, so
+  // nothing is reordered.
+  std::string same = ExplainOf(
+      &db,
+      "EXPLAIN SELECT COUNT(*) AS n FROM fact JOIN p ON fact.kp = p.kp "
+      "JOIN r ON fact.kr = r.kr");
+  EXPECT_EQ(ScanOrder(same), (std::vector<std::string>{"fact", "p", "r"}))
+      << same;
+  EXPECT_EQ(same.find("joins-reordered"), std::string::npos) << same;
+}
+
+// ---------------------------------------------------------------------------
+// Heuristic selectivity of pushed predicates (plan::EstimateSelectivity):
+// the post-filter estimates that drive the greedy join order.
+// ---------------------------------------------------------------------------
+
+class SelectivityTest : public ::testing::Test {
+ protected:
+  double Sel(const std::string& pred) {
+    return plan::EstimateSelectivity(*sql::ParseExpr(pred));
+  }
+};
+
+TEST_F(SelectivityTest, InListsSumPerValueEstimates) {
+  // Each listed value keeps 5%, capped at half the rows.
+  EXPECT_DOUBLE_EQ(Sel("t.k IN (7)"), 0.05);
+  EXPECT_DOUBLE_EQ(Sel("t.k IN (1, 2, 3)"), 0.15);
+  std::string many = "t.k IN (0";
+  for (int i = 1; i < 20; ++i) many += ", " + std::to_string(i);
+  EXPECT_DOUBLE_EQ(Sel(many + ")"), 0.5);
+}
+
+TEST_F(SelectivityTest, NullPredicates) {
+  EXPECT_DOUBLE_EQ(Sel("t.k IS NULL"), 0.1);
+  EXPECT_DOUBLE_EQ(Sel("t.k IS NOT NULL"), 0.9);
+}
+
+TEST_F(SelectivityTest, ConjunctionsAndDisjunctionsCombine) {
+  // AND multiplies, OR adds (capped at 1), NOT complements.
+  EXPECT_DOUBLE_EQ(Sel("t.k = 3 AND t.k < 5"), 0.1 * 0.3);
+  EXPECT_DOUBLE_EQ(Sel("t.k = 3 OR t.k = 4"), 0.2);
+  EXPECT_DOUBLE_EQ(Sel("t.k <> 3 OR t.k <> 4"), 1.0);
+  EXPECT_DOUBLE_EQ(Sel("NOT t.k = 3"), 0.9);
+  EXPECT_DOUBLE_EQ(Sel("NOT (t.k = 3 OR t.k IS NULL)"), 0.8);
+}
+
+TEST_F(SelectivityTest, UnsupportedShapesFallBackToHeuristics) {
+  // Comparisons are classed by operator alone: no literal side, a computed
+  // side, an unknown column or a string range all get the operator's guess.
+  EXPECT_DOUBLE_EQ(Sel("t.k = t.k"), 0.1);
+  EXPECT_DOUBLE_EQ(Sel("t.k + 1 = 3"), 0.1);
+  EXPECT_DOUBLE_EQ(Sel("t.missing = 3"), 0.1);
+  EXPECT_DOUBLE_EQ(Sel("t.s < 'hot'"), 0.3);
+  EXPECT_DOUBLE_EQ(Sel("t.k <> 3"), 0.9);
+  // Shapes with no rule at all keep half the rows.
+  EXPECT_DOUBLE_EQ(Sel("t.k"), 0.5);
+  EXPECT_DOUBLE_EQ(Sel("t.k + 1"), 0.5);
+  EXPECT_DOUBLE_EQ(Sel("t.k IN (SELECT u.k FROM u)"), 0.5);
+  // Folded literals are exact.
+  EXPECT_DOUBLE_EQ(Sel("1"), 1.0);
+  EXPECT_DOUBLE_EQ(Sel("0"), 0.0);
 }
 
 TEST(PlannerStatsTest, ProjectionPruningSkipsDecompression) {
@@ -649,6 +958,55 @@ TEST(PlannerTrainEquivalenceTest, PlannerOnOffGrowsIdenticalModels) {
   // planned run only.
   EXPECT_GT(res_on.plan_stats.queries_planned, 0u);
   EXPECT_EQ(res_off.plan_stats.queries_planned, 0u);
+}
+
+TEST(PlannerTrainEquivalenceTest,
+     FavoritaGbdtIsBitIdenticalAcrossPlannerAndThreads) {
+  // The same pin on the Favorita snowflake: the greedy-ordered planned train
+  // at 1 and 4 threads and the unplanned train grow the same model and
+  // predict the same values, bit for bit.
+  struct Config {
+    const char* label;
+    bool use_planner;
+    int threads;
+  };
+  const Config configs[] = {
+      {"planner x1", true, 1},
+      {"planner x4", true, 4},
+      {"planner-off x1", false, 1},
+  };
+  std::vector<std::string> models;
+  std::vector<std::vector<double>> predictions;
+  for (const Config& c : configs) {
+    EngineProfile p = EngineProfile::DSwap();
+    p.use_planner = c.use_planner;
+    p.exec_threads = c.threads;
+    Database db(p);
+    Dataset ds = data::MakeFavorita(&db, test_util::TinyFavorita());
+    core::TrainParams params;
+    params.boosting = "gbdt";
+    params.num_iterations = 5;
+    params.num_leaves = 8;
+    params.learning_rate = 0.2;
+    TrainResult res = Train(params, ds);
+    models.push_back(res.model.ToString());
+    core::JoinedEval eval = core::MaterializeJoin(ds);
+    std::vector<double> preds(eval.rows());
+    for (size_t r = 0; r < eval.rows(); ++r) {
+      preds[r] = eval.Predict(res.model, r);
+    }
+    predictions.push_back(std::move(preds));
+  }
+  for (size_t i = 1; i < models.size(); ++i) {
+    EXPECT_EQ(models[0], models[i])
+        << "model diverged under config " << configs[i].label;
+    ASSERT_EQ(predictions[0].size(), predictions[i].size());
+    for (size_t r = 0; r < predictions[0].size(); ++r) {
+      ASSERT_EQ(predictions[0][r], predictions[i][r])
+          << "prediction diverged at row " << r << " under config "
+          << configs[i].label;
+    }
+  }
 }
 
 }  // namespace

@@ -444,102 +444,5 @@ TEST(ServingStressTest, FactorizerServesConcurrentAggregateRequests) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Satellite: plan-cache staleness. An append that changes which join order
-// is cheapest must evict the cached decision; renamed same-shape tables must
-// keep hitting (that sharing is the cache's whole point for trainer temps).
-// ---------------------------------------------------------------------------
-
-TEST(PlanCacheStalenessTest, AppendThatFlipsTheCheapestJoinOrderEvicts) {
-  // Join selectivity is 1/max(ndv_left, ndv_right) and DP cost is the sum of
-  // intermediate cardinalities. d_small covers 10 of fact's 100 k1 values, so
-  // joining it first shrinks the intermediate to ~50 rows (vs ~500 via
-  // d_big); once d_small grows 300x with the same 10 keys, joining it first
-  // multiplies the intermediate instead — the cheapest order flips.
-  exec::Database db(EngineProfile::DSwap());
-  std::vector<int64_t> fk1, fk2;
-  for (int i = 0; i < 500; ++i) {
-    fk1.push_back(i % 100);
-    fk2.push_back(i % 100);
-  }
-  std::vector<int64_t> sk(10), bk(100);
-  for (int i = 0; i < 10; ++i) sk[static_cast<size_t>(i)] = i;
-  for (int i = 0; i < 100; ++i) bk[static_cast<size_t>(i)] = i;
-  db.RegisterTable(
-      TableBuilder("fact").AddInts("k1", fk1).AddInts("k2", fk2).Build());
-  db.RegisterTable(TableBuilder("d_small").AddInts("k1", sk).Build());
-  db.RegisterTable(TableBuilder("d_big").AddInts("k2", bk).Build());
-
-  const std::string q =
-      "SELECT COUNT(*) AS c FROM fact "
-      "JOIN d_big ON fact.k2 = d_big.k2 "
-      "JOIN d_small ON fact.k1 = d_small.k1";
-  auto explain_order = [&] {
-    auto t = db.Query("EXPLAIN " + q);
-    std::string text;
-    for (size_t r = 0; r < t->rows; ++r) {
-      text += t->GetValue(r, 0).s;
-      text += "\n";
-    }
-    size_t small = text.find("Scan d_small");
-    size_t big = text.find("Scan d_big");
-    EXPECT_NE(small, std::string::npos) << text;
-    EXPECT_NE(big, std::string::npos) << text;
-    return small < big ? std::string("small_first") : std::string("big_first");
-  };
-
-  plan::PlanStats before = db.PlanStatsTotals();
-  db.Query(q);
-  db.Query(q);
-  plan::PlanStats warm = db.PlanStatsTotals() - before;
-  EXPECT_EQ(warm.plan_cache_misses, 1u);
-  EXPECT_EQ(warm.plan_cache_hits, 1u);
-  EXPECT_EQ(db.plan_cache().evictions(), 0u);
-  EXPECT_EQ(explain_order(), "small_first");
-
-  // Blow d_small up 300x over the same key range: the cheapest order flips,
-  // so the cached decision is stale and must be evicted, not replayed.
-  std::vector<int64_t> grow(3000);
-  for (size_t i = 0; i < grow.size(); ++i) {
-    grow[i] = static_cast<int64_t>(i) % 10;
-  }
-  exec::ExecTable more;
-  more.cols.push_back({"", "k1", exec::VectorData::FromInts(std::move(grow))});
-  more.rows = 3000;
-  db.AppendRows("d_small", more);
-
-  before = db.PlanStatsTotals();
-  db.Query(q);
-  plan::PlanStats after = db.PlanStatsTotals() - before;
-  EXPECT_EQ(after.plan_cache_misses, 1u) << "stale cached plan was replayed";
-  EXPECT_EQ(after.plan_cache_hits, 0u);
-  EXPECT_EQ(db.plan_cache().evictions(), 1u);
-  EXPECT_EQ(explain_order(), "big_first");
-
-  // And the re-planned decision is itself cached again.
-  before = db.PlanStatsTotals();
-  db.Query(q);
-  after = db.PlanStatsTotals() - before;
-  EXPECT_EQ(after.plan_cache_hits, 1u);
-}
-
-TEST(PlanCacheStalenessTest, RenamedSameShapeTablesStillHit) {
-  // Trainer temp tables churn through counter-suffixed names; the stamps
-  // must not evict entries just because the name seen at insert time died.
-  exec::Database db(EngineProfile::DSwap());
-  std::vector<int64_t> ks(100);
-  for (int i = 0; i < 100; ++i) ks[static_cast<size_t>(i)] = i % 10;
-  db.RegisterTable(TableBuilder("jb1_t").AddInts("k", ks).Build());
-  db.RegisterTable(TableBuilder("jb2_t").AddInts("k", ks).Build());
-
-  plan::PlanStats before = db.PlanStatsTotals();
-  db.Query("SELECT COUNT(*) AS c FROM jb1_t WHERE jb1_t.k > 3");
-  db.Query("SELECT COUNT(*) AS c FROM jb2_t WHERE jb2_t.k > 3");
-  plan::PlanStats d = db.PlanStatsTotals() - before;
-  EXPECT_EQ(d.plan_cache_misses, 1u);
-  EXPECT_EQ(d.plan_cache_hits, 1u);
-  EXPECT_EQ(db.plan_cache().evictions(), 0u);
-}
-
 }  // namespace
 }  // namespace joinboost
