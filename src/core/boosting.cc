@@ -104,10 +104,11 @@ struct LeafUpdate {
   double delta;      ///< shrunk leaf value to subtract from the residual
 };
 
+/// CASE WHEN <leaf cond> THEN then_fn(leaf) … ELSE else_expr END over the
+/// conditioned leaves; a root-only tree needs no CASE.
 std::string CaseExpr(const std::vector<LeafUpdate>& leaves,
-                     const std::string& then_tmpl_col,
+                     const std::string& else_expr,
                      const std::function<std::string(const LeafUpdate&)>& then_fn) {
-  (void)then_tmpl_col;
   std::ostringstream os;
   os << "CASE";
   bool any = false;
@@ -120,7 +121,7 @@ std::string CaseExpr(const std::vector<LeafUpdate>& leaves,
     // Root-only tree: single unconditional update.
     return then_fn(leaves[0]);
   }
-  os << " ELSE s END";
+  os << " ELSE " << else_expr << " END";
   return os.str();
 }
 
@@ -168,25 +169,7 @@ void GradientBoosting::UpdateResidualSemiring(Session& session,
     std::string name = session.NewTempName();
     std::string sql = "CREATE TABLE " + name + " AS SELECT " + cols + ", " +
                       CaseExpr(leaves, "s", s_then) + " AS s";
-    if (params_.track_q) {
-      std::string qexpr = CaseExpr(leaves, "q", q_then);
-      // The ELSE branch of q must keep q, not s.
-      // Build explicitly instead:
-      std::ostringstream qs;
-      qs << "CASE";
-      bool any = false;
-      for (const auto& l : leaves) {
-        if (l.cond.empty()) continue;
-        any = true;
-        qs << " WHEN " << l.cond << " THEN " << q_then(l);
-      }
-      if (any) {
-        qs << " ELSE q END";
-        sql += ", " + qs.str() + " AS q";
-      } else {
-        sql += ", " + q_then(leaves[0]) + " AS q";
-      }
-    }
+    if (params_.track_q) sql += ", " + CaseExpr(leaves, "q", q_then) + " AS q";
     sql += " FROM " + fact;
     db.Execute(sql, "update");
     db.Execute("DROP TABLE " + fact, "update");
@@ -196,22 +179,7 @@ void GradientBoosting::UpdateResidualSemiring(Session& session,
     std::string tmp = session.NewTempName();
     std::string sql = "CREATE TABLE " + tmp + " AS SELECT " +
                       CaseExpr(leaves, "s", s_then) + " AS s";
-    if (params_.track_q) {
-      std::ostringstream qs;
-      qs << "CASE";
-      bool any = false;
-      for (const auto& l : leaves) {
-        if (l.cond.empty()) continue;
-        any = true;
-        qs << " WHEN " << l.cond << " THEN " << q_then(l);
-      }
-      if (any) {
-        qs << " ELSE q END";
-        sql += ", " + qs.str() + " AS q";
-      } else {
-        sql += ", " + q_then(leaves[0]) + " AS q";
-      }
-    }
+    if (params_.track_q) sql += ", " + CaseExpr(leaves, "q", q_then) + " AS q";
     sql += " FROM " + fact;
     db.Execute(sql, "update");
     db.SwapColumns(fact, "s", tmp, "s");
@@ -219,45 +187,16 @@ void GradientBoosting::UpdateResidualSemiring(Session& session,
     db.Execute("DROP TABLE " + tmp, "update");
   } else if (strategy == "naive_u") {
     // §5.3 Naive: materialize the update relation U and re-create F = F ⋈ U.
-    // Requires all leaf selectors to share one single-attribute key.
-    std::string key;
-    bool ok = true;
-    std::vector<std::string> conds;
-    for (const auto& l : leaves) conds.push_back(l.cond);
-    // Build U over the fact's rows keyed by jb_rid (general fallback): each
-    // row's leaf delta. U is as large as F — exactly the cost the paper
-    // calls out.
-    (void)key;
-    (void)ok;
+    // U holds each fact row's leaf delta keyed by jb_rid, so it is as large
+    // as F — exactly the cost the paper calls out.
     std::string u_name = session.NewTempName();
-    std::string u_sql = "CREATE TABLE " + u_name +
-                        " AS SELECT jb_rid AS u_rid, " +
-                        CaseExpr(leaves, "s",
-                                 [](const LeafUpdate& l) {
-                                   return SqlDouble(l.delta);
-                                 }) +
-                        " AS p FROM " + fact;
-    // ELSE branch of that CASE references `s`; replace with 0 via explicit
-    // build when conditions exist.
-    {
-      std::ostringstream us;
-      us << "CREATE TABLE " << u_name << " AS SELECT jb_rid AS u_rid, CASE";
-      bool any = false;
-      for (const auto& l : leaves) {
-        if (l.cond.empty()) continue;
-        any = true;
-        us << " WHEN " << l.cond << " THEN " << SqlDouble(l.delta);
-      }
-      if (any) {
-        us << " ELSE 0.0 END AS p FROM " << fact;
-        u_sql = us.str();
-      } else {
-        u_sql = "CREATE TABLE " + u_name + " AS SELECT jb_rid AS u_rid, " +
-                SqlDouble(leaves.empty() ? 0.0 : leaves[0].delta) +
-                " AS p FROM " + fact;
-      }
-    }
-    db.Execute(u_sql, "update");
+    db.Execute("CREATE TABLE " + u_name + " AS SELECT jb_rid AS u_rid, " +
+                   CaseExpr(leaves, "0.0",
+                            [](const LeafUpdate& l) {
+                              return SqlDouble(l.delta);
+                            }) +
+                   " AS p FROM " + fact,
+               "update");
     std::vector<std::string> skip = {"s"};
     if (params_.track_q) skip.push_back("q");
     std::string cols = ColumnsExcept(db, fact, skip);
@@ -298,24 +237,10 @@ void GradientBoosting::UpdateGeneral(Session& session,
   }
 
   // 1. Advance per-row predictions.
-  std::ostringstream pred_case;
-  {
-    pred_case << "CASE";
-    bool any = false;
-    for (const auto& l : leaves) {
-      if (l.cond.empty()) continue;
-      any = true;
-      pred_case << " WHEN " << l.cond << " THEN jb_pred + "
-                << SqlDouble(l.delta);
-    }
-    if (any) {
-      pred_case << " ELSE jb_pred END";
-    } else {
-      pred_case.str("");
-      pred_case << "jb_pred + "
-                << SqlDouble(leaves.empty() ? 0.0 : leaves[0].delta);
-    }
-  }
+  const std::string pred_case =
+      CaseExpr(leaves, "jb_pred", [](const LeafUpdate& l) {
+        return "jb_pred + " + SqlDouble(l.delta);
+      });
 
   if (strategy == "update") {
     for (const auto& l : leaves) {
@@ -342,7 +267,7 @@ void GradientBoosting::UpdateGeneral(Session& session,
       << (strategy == "create" ? inner_cols + ", " : std::string())
       << "jb_pred, " << obj.GradientSql(y, "jb_pred") << " AS g";
   if (has_h) sql << ", " << obj.HessianSql(y, "jb_pred") << " AS h";
-  sql << " FROM (SELECT " << inner_cols << ", " << pred_case.str()
+  sql << " FROM (SELECT " << inner_cols << ", " << pred_case
       << " AS jb_pred FROM " << fact << ")";
   db.Execute(sql.str(), "update");
 

@@ -16,6 +16,8 @@ struct TrainResult {
   double update_seconds = 0;   ///< residual-update time (Figures 5/15)
   double message_seconds = 0;  ///< message-passing query time
   double feature_seconds = 0;  ///< best-split query time
+  /// Statements tagged "message": each message's own GROUP BY, or a shared
+  /// GROUPING SETS scan plus one split statement per message it computes.
   size_t message_queries = 0;
   size_t feature_queries = 0;
   size_t cache_hits = 0;       ///< message-cache hits (§5.5.1)

@@ -6,6 +6,7 @@
 #include <unordered_set>
 
 #include "semiring/sql_gen.h"
+#include "sql/printer.h"
 #include "util/check.h"
 
 namespace joinboost {
@@ -51,20 +52,25 @@ SplitCandidate TreeGrower::BestSplit(const LeafState& leaf,
     return BestSplitBatched(by_rel, leaf, crit);
   }
 
-  // Phase 1 (serial): ensure messages exist per root relation. The
-  // factorizer serializes materialization on its own mutex; keeping this
-  // phase serial here preserves deterministic temp-table naming. Split
-  // queries below are read-only.
+  // Phase 1 (serial): ensure messages exist for every root relation — all
+  // of the leaf's messages are requested at once so same-input misses share
+  // a scan. The factorizer serializes materialization on its own mutex;
+  // keeping this phase serial here preserves deterministic temp-table
+  // naming. Split queries below are read-only.
   struct Job {
     int rel;
     std::string feature;
     bool categorical;
     std::string sql;
   };
+  std::vector<int> rels;
+  for (const auto& entry : by_rel) rels.push_back(entry.first);
+  std::vector<factor::Factorizer::AbsorptionParts> absorptions =
+      fac_->BuildAbsorptions(rels, leaf.preds, "message");
   std::vector<Job> jobs;
-  for (auto& [rel, feats] : by_rel) {
-    factor::Factorizer::AbsorptionParts parts =
-        fac_->BuildAbsorption(rel, leaf.preds, "message");
+  size_t r = 0;
+  for (const auto& [rel, feats] : by_rel) {
+    const factor::Factorizer::AbsorptionParts& parts = absorptions[r++];
     for (const auto& f : feats) {
       Job job;
       job.rel = rel;
@@ -128,10 +134,11 @@ SplitCandidate TreeGrower::BestSplit(const LeafState& leaf,
 SplitCandidate TreeGrower::BestSplitBatched(
     const std::map<int, std::vector<std::string>>& by_rel,
     const LeafState& leaf, const CriterionParams& crit) {
-  // Phase 1 (serial): build each relation's absorption (materializing any
-  // missing messages — serialized by the factorizer's internal mutex; kept
-  // serial here for deterministic temp-table naming) and compose one
-  // GROUPING SETS histogram query per relation.
+  // Phase 1 (serial): compose one GROUPING SETS histogram query per
+  // relation. The factorizer materializes every missing message of the leaf
+  // first (serialized by its internal mutex; kept serial here for
+  // deterministic temp-table naming), sharing scans between same-input
+  // messages and histograms.
   struct RelJob {
     int rel = 0;
     const std::vector<std::string>* feats = nullptr;
@@ -140,6 +147,7 @@ SplitCandidate TreeGrower::BestSplitBatched(
     std::vector<SplitCandidate> candidates;  ///< one slot per feature
   };
   std::vector<RelJob> jobs;
+  std::vector<factor::HistogramRequest> requests;
   jobs.reserve(by_rel.size());
   for (const auto& [rel, feats] : by_rel) {
     RelJob job;
@@ -147,10 +155,13 @@ SplitCandidate TreeGrower::BestSplitBatched(
     job.feats = &feats;
     job.categorical.reserve(feats.size());
     for (const auto& f : feats) job.categorical.push_back(IsCategorical(rel, f));
-    job.sql = fac_->BatchedHistogramSql(rel, feats, leaf.preds, "message");
     job.candidates.resize(feats.size());
     jobs.push_back(std::move(job));
+    requests.push_back({rel, feats});
   }
+  const factor::LeafHistograms leaf_hists =
+      fac_->BatchedHistograms(requests, leaf.preds, "message");
+  for (size_t j = 0; j < jobs.size(); ++j) jobs[j].sql = leaf_hists.sql[j];
 
   // Phase 2 (optionally parallel across relations): run the histogram query,
   // demultiplex rows into per-feature histograms by set_id, and enumerate
@@ -165,6 +176,9 @@ SplitCandidate TreeGrower::BestSplitBatched(
     std::vector<std::vector<HistogramEntry>> hists(feats.size());
     for (size_t r = 0; r < res->rows; ++r) {
       const size_t sid = static_cast<size_t>(res->GetValue(r, 0).i);
+      JB_CHECK_MSG(sid < feats.size(), "histogram set id " << sid
+                                           << " out of range for "
+                                           << feats.size() << " features");
       HistogramEntry e;
       e.val = res->GetValue(r, 1 + sid);
       e.c = res->GetValue(r, c_col);
@@ -200,6 +214,7 @@ SplitCandidate TreeGrower::BestSplitBatched(
   } else {
     for (size_t j = 0; j < jobs.size(); ++j) run_one(j);
   }
+  fac_->ReleaseShared(leaf_hists);
 
   // Merge in (relation, feature) order — the per-feature path's candidate
   // order — with the same strict-greater comparison and floor.
@@ -302,8 +317,8 @@ GrowthResult TreeGrower::Grow(const std::vector<std::string>& features,
     // Child predicates (paper §3.2 predicate forms).
     std::string left_pred, right_pred;
     if (sp.categorical) {
-      left_pred = sp.feature + " = '" + sp.category_str + "'";
-      right_pred = sp.feature + " <> '" + sp.category_str + "'";
+      left_pred = sp.feature + " = " + sql::QuoteString(sp.category_str);
+      right_pred = sp.feature + " <> " + sql::QuoteString(sp.category_str);
     } else {
       left_pred = sp.feature + " <= " + semiring::SqlDouble(sp.threshold);
       right_pred = sp.feature + " > " + semiring::SqlDouble(sp.threshold);

@@ -58,6 +58,22 @@ struct Message {
   bool has_q = false;
 };
 
+/// One relation's request in a leaf's batched split evaluation
+/// (Factorizer::BatchedHistograms): the attributes to histogram at `root`.
+struct HistogramRequest {
+  int root = 0;
+  std::vector<std::string> attrs;
+};
+
+/// A leaf's histogram queries, one per HistogramRequest, each yielding rows
+/// (set_id, attrs..., c, s) with set_id = i for attribute i. A query may
+/// read from a shared-scan table listed in `shared_tables`; it stays until
+/// Factorizer::ReleaseShared (or the cache is cleared).
+struct LeafHistograms {
+  std::vector<std::string> sql;
+  std::vector<std::string> shared_tables;
+};
+
 struct FactorizerOptions {
   /// Materialize and reuse messages across tree nodes (JoinBoost). When
   /// false every request recomputes — the LMFAO/Batch behaviour (Fig 16a).
@@ -71,6 +87,15 @@ struct FactorizerOptions {
 /// Generates and executes message-passing SQL over a join graph (§3.1), with
 /// bidirectional message caching, identity-message elision and selection
 /// (semi-join) messages. All data access goes through SQL on the Database.
+///
+/// Shared scans: each entry point first walks the join tree and plans every
+/// missing full message, then materializes them together. Misses with the
+/// same FROM/JOIN/WHERE input and aggregates are computed by one GROUP BY
+/// GROUPING SETS statement and split into their message tables; a histogram
+/// with that input (BatchedHistograms) joins the same statement. Message
+/// names, contents, row order and cache keys are those of computing each
+/// message on its own, except that two same-input messages with one key
+/// list share the first one's table.
 ///
 /// Thread safety: every public entry point serializes on an internal
 /// recursive mutex, so one Factorizer may be shared by concurrent callers
@@ -103,10 +128,6 @@ class Factorizer {
   Message GetSelector(int from, int to, const PredicateSet& preds,
                       const std::string& tag);
 
-  /// All incoming messages of `root` under predicates.
-  std::vector<Message> IncomingMessages(int root, const PredicateSet& preds,
-                                        const std::string& tag);
-
   /// γ(σ(R⋈)) rooted at `root`: total (c, s, q) aggregate.
   semiring::VarianceElem TotalAggregate(int root, const PredicateSet& preds,
                                         const std::string& tag);
@@ -122,20 +143,31 @@ class Factorizer {
   AbsorptionParts BuildAbsorption(int root, const PredicateSet& preds,
                                   const std::string& tag);
 
-  /// Batched split evaluation: one histogram query per relation per leaf.
-  /// Builds the absorption at `root` (materializing messages — serial, like
-  /// BuildAbsorption) and returns a single GROUPING SETS query whose rows
-  /// with set_id = i form attribute i's (value, c, s) histogram —
-  /// O(#relations) queries per leaf instead of O(#features). Result columns:
-  /// set_id, attrs..., c, s (no q: the criterion needs only c and s). The
-  /// returned SQL is read-only and may be executed concurrently with other
-  /// relations' queries. `tag` labels any message-materialization queries
-  /// issued while building the absorption (callers tag the histogram query
-  /// itself when executing it).
-  std::string BatchedHistogramSql(int root,
-                                  const std::vector<std::string>& attrs,
-                                  const PredicateSet& preds,
-                                  const std::string& tag);
+  /// BuildAbsorption for several roots under one leaf's predicates: every
+  /// root's missing messages are planned before any is materialized, so
+  /// same-input misses share one scan.
+  std::vector<AbsorptionParts> BuildAbsorptions(const std::vector<int>& roots,
+                                                const PredicateSet& preds,
+                                                const std::string& tag);
+
+  /// Batched split evaluation: one histogram query per relation per leaf,
+  /// O(#relations) queries instead of O(#features). Builds every request's
+  /// absorption like BuildAbsorptions and returns, per request, a query whose
+  /// rows with set_id = i form attribute i's (value, c, s) histogram (no q:
+  /// the criterion needs only c and s). A request whose absorption has the
+  /// input of the leaf's missing messages, over a relation of at least
+  /// 8,192 rows, is computed in their shared GROUPING SETS statement and
+  /// read back from its table; the others get their own GROUPING SETS
+  /// query. The queries are read-only and may run
+  /// concurrently. `tag` labels the message-materialization statements
+  /// (callers tag the histogram queries when executing them). Call
+  /// ReleaseShared once the queries have run.
+  LeafHistograms BatchedHistograms(const std::vector<HistogramRequest>& reqs,
+                                   const PredicateSet& preds,
+                                   const std::string& tag);
+
+  /// Drop the shared-scan tables a BatchedHistograms result reads.
+  void ReleaseShared(const LeafHistograms& hists);
 
   size_t cache_hits() const {
     std::lock_guard<std::recursive_mutex> lock(mu_);
@@ -168,10 +200,55 @@ class Factorizer {
                        const PredicateSet& preds);
   std::string NewTempName();
 
+  /// A full message planned but not yet materialized. Its statement is
+  ///   CREATE TABLE <table> AS SELECT <source.keys>, <sums> <input>
+  ///   GROUP BY <source.keys>
+  struct PendingMessage {
+    std::string table;
+    std::string source;             ///< relation table the keys belong to
+    std::vector<std::string> keys;  ///< edge keys (unqualified)
+    std::string input;              ///< "FROM … [JOIN …] [WHERE …]"
+    std::vector<std::string> sums;  ///< "SUM(…) AS c", "SUM(…) AS s", …
+    std::vector<std::string> cache_keys;  ///< entries pointing at `table`
+    bool materialized = false;
+  };
+  /// A batched histogram query waiting to learn whether it shares a scan.
+  struct PendingHistogram {
+    const std::vector<std::string>* attrs = nullptr;
+    AbsorptionParts parts;
+    std::vector<std::string> sums;
+    /// Its relation is large enough for sharing to pay, and its unqualified
+    /// attributes bind only to the root relation, so the shared statement
+    /// may qualify them without changing the plan.
+    bool shareable = false;
+    std::string sql;  ///< read-back query, set when it shares a scan
+  };
+
+  /// The recursive join-tree walk behind GetMessage: cache lookups and
+  /// accounting as if each message were computed on the spot, but full
+  /// messages are only planned (pending_) until Flush.
+  Message PlanMessage(int from, int to, const PredicateSet& preds,
+                      const std::string& tag);
+  std::vector<Message> PlanIncoming(int root, const PredicateSet& preds,
+                                    const std::string& tag);
+  AbsorptionParts Absorption(int root, const std::vector<Message>& msgs,
+                             const PredicateSet& preds) const;
+  /// Materialize pending_ in planning order (children before parents). Each
+  /// group of pending messages with one input and one aggregate list, plus
+  /// the `hists` entries with that input, becomes one GROUPING SETS statement
+  /// and one split statement per message. Tables that shared histograms
+  /// still read are appended to `shared_tables`.
+  void Flush(const std::string& tag, std::vector<PendingHistogram>* hists,
+             std::vector<std::string>* shared_tables);
+  /// Undo a failed walk or Flush: cache entries of unmaterialized messages
+  /// are erased so no entry names a missing table.
+  void DiscardPending();
+  void DropOwned(const std::string& table);
+
   /// Serializes all cache state (cache_, subtree_cache_, ref_complete_cache_,
-  /// owned_tables_, counters, temp_counter_, epochs_) and message
-  /// materialization. Recursive because GetMessage/GetSelector re-enter
-  /// themselves and each other while walking the join tree.
+  /// owned_tables_, pending_, counters, temp_counter_, epochs_) and message
+  /// materialization. Recursive because the walks re-enter GetSelector and
+  /// the public entry points build on each other.
   mutable std::recursive_mutex mu_;
   exec::Database* db_;
   const graph::JoinGraph* graph_;
@@ -183,6 +260,7 @@ class Factorizer {
   std::unordered_map<std::string, std::vector<int>> subtree_cache_;
   std::unordered_map<std::string, bool> ref_complete_cache_;
   std::vector<std::string> owned_tables_;
+  std::vector<PendingMessage> pending_;
   size_t cache_hits_ = 0;
   size_t cache_misses_ = 0;
   size_t messages_materialized_ = 0;

@@ -181,8 +181,11 @@ double EstimateSelectivity(const sql::Expr& e) {
     case sql::ExprKind::kUnary:
       if (e.op == "NOT") return 1.0 - EstimateSelectivity(*e.args[0]);
       return 0.5;
-    case sql::ExprKind::kInList:
-      return std::min(0.5, 0.05 * static_cast<double>(e.args.size() - 1));
+    case sql::ExprKind::kInList: {
+      const double in =
+          std::min(0.5, 0.05 * static_cast<double>(e.args.size() - 1));
+      return e.negated ? 1.0 - in : in;
+    }
     case sql::ExprKind::kInSubquery:
       return 0.5;
     case sql::ExprKind::kIsNull:

@@ -118,10 +118,17 @@ class Lexer {
     if (c == '\'') {
       ++pos_;
       std::string s;
-      while (pos_ < text_.size() && text_[pos_] != '\'') {
+      while (true) {
+        if (pos_ >= text_.size()) {
+          throw ParseError("unterminated string", cur_.pos);
+        }
+        if (text_[pos_] == '\'') {
+          // A doubled quote is one quote in the value (the SQL escape).
+          if (pos_ + 1 >= text_.size() || text_[pos_ + 1] != '\'') break;
+          ++pos_;
+        }
         s.push_back(text_[pos_++]);
       }
-      if (pos_ >= text_.size()) throw ParseError("unterminated string", cur_.pos);
       ++pos_;  // closing quote
       cur_.kind = TokKind::kString;
       cur_.text = s;

@@ -44,7 +44,7 @@ void PrintExpr(const Expr& e, std::ostream& os) {
       break;
     }
     case ExprKind::kStringLiteral:
-      os << "'" << e.str_val << "'";
+      os << QuoteString(e.str_val);
       break;
     case ExprKind::kNullLiteral:
       os << "NULL";
@@ -252,6 +252,15 @@ std::string ToSql(const Statement& stmt) {
       break;
   }
   return os.str();
+}
+
+std::string QuoteString(const std::string& value) {
+  std::string out = "'";
+  for (char ch : value) {
+    if (ch == '\'') out += '\'';
+    out += ch;
+  }
+  return out + "'";
 }
 
 }  // namespace sql

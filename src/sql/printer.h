@@ -14,5 +14,9 @@ std::string ToSql(const Expr& expr);
 std::string ToSql(const SelectStmt& stmt);
 std::string ToSql(const Statement& stmt);
 
+/// `value` as a SQL string literal: single-quoted, each embedded quote
+/// doubled (the parser reads '' back as one quote).
+std::string QuoteString(const std::string& value);
+
 }  // namespace sql
 }  // namespace joinboost

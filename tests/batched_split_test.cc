@@ -34,11 +34,15 @@ EngineProfile Profile(bool use_planner, int threads) {
 }
 
 /// Snowflake with a categorical dimension feature, so both kernel paths
-/// (window prefix sums and equality splits) are exercised end to end.
-void BuildCatSnowflake(Database* db, uint64_t seed, size_t rows) {
+/// (window prefix sums and equality splits) are exercised end to end. The
+/// target rises by 5 with category cats[0] and by `second_effect` with
+/// cats[1].
+void BuildCatSnowflake(Database* db, uint64_t seed, size_t rows,
+                       const std::vector<std::string>& cats = {"red", "green",
+                                                               "blue", "teal"},
+                       double second_effect = 0.0) {
   Rng rng(seed);
   const int64_t kD1 = 13, kD2 = 7;
-  const char* cats[] = {"red", "green", "blue", "teal"};
   std::vector<int64_t> k1(rows), k2(rows);
   std::vector<double> x0(rows), y(rows);
   std::vector<int64_t> d1k, d2k;
@@ -57,7 +61,9 @@ void BuildCatSnowflake(Database* db, uint64_t seed, size_t rows) {
     k1[i] = rng.NextInt(0, kD1 - 1);
     k2[i] = rng.NextInt(0, kD2 - 1);
     x0[i] = rng.NextDouble() * 8;
-    double cat_effect = g1[static_cast<size_t>(k1[i])] == "red" ? 5.0 : 0.0;
+    const std::string& g = g1[static_cast<size_t>(k1[i])];
+    double cat_effect =
+        g == cats[0] ? 5.0 : (g == cats[1] ? second_effect : 0.0);
     y[i] = 2.0 * x0[i] + cat_effect + 0.01 * f1[static_cast<size_t>(k1[i])] -
            0.015 * f2[static_cast<size_t>(k2[i])] + rng.NextGaussian();
   }
@@ -177,6 +183,90 @@ TEST(BatchedSplitTest, SplitQueriesPerLeafIsRelationCount) {
     }
     session.Cleanup();
   }
+}
+
+/// On a fact large enough for its histogram to join the leaf's shared
+/// message scan, the batched path (histogram read back from the shared
+/// table) must still match the per-feature path (which never shares one).
+TEST(BatchedSplitTest, SharedHistogramScanMatchesPerFeatureBitIdentical) {
+  struct Config {
+    bool planner;
+    int threads;
+  };
+  const Config configs[] = {{true, 1}, {true, 4}, {false, 4}};
+  for (const Config& c : configs) {
+    std::string label = std::string("planner=") + (c.planner ? "on" : "off") +
+                        " threads=" + std::to_string(c.threads);
+    core::Ensemble models[2];
+    size_t shared_reads = 0;
+    for (int batched = 0; batched < 2; ++batched) {
+      Database db(Profile(c.planner, c.threads));
+      BuildCatSnowflake(&db, /*seed=*/99, /*rows=*/9000);
+      Dataset ds = MakeCatDataset(&db);
+      core::TrainParams params;
+      params.boosting = "gbdt";
+      params.num_iterations = 2;
+      params.num_leaves = 5;
+      params.batch_split_evaluation = batched == 1;
+      models[batched] = Train(params, ds).model;
+      for (const auto& e : db.QueryLog()) {
+        const bool shared = e.sql.find("_sets WHERE") != std::string::npos;
+        if (e.tag == "feature" && shared) ++shared_reads;
+      }
+    }
+    ExpectModelsBitIdentical(models[0], models[1], label);
+    EXPECT_GT(shared_reads, 0u) << label << ": no histogram shared a scan";
+  }
+}
+
+/// Category values holding quotes are spliced into split predicates as
+/// escaped SQL literals: training must neither fail to parse them nor read
+/// an injected condition, so the trees equal those over quote-free names.
+TEST(BatchedSplitTest, QuotedCategoriesTrainLikeQuoteFreeOnes) {
+  const std::vector<std::string> quoted = {"O'Brien", "x' OR '1'='1", "blue",
+                                           "teal"};
+  const std::vector<std::string> plain = {"OBrien", "x OR 1=1", "blue",
+                                          "teal"};
+  core::Ensemble models[2];
+  for (int q = 0; q < 2; ++q) {
+    Database db(Profile(/*use_planner=*/true, /*threads=*/1));
+    BuildCatSnowflake(&db, /*seed=*/21, /*rows=*/3000, q == 0 ? quoted : plain,
+                      /*second_effect=*/-4.0);
+    Dataset ds = MakeCatDataset(&db);
+    core::TrainParams params;
+    params.boosting = "gbdt";
+    params.num_iterations = 3;
+    params.num_leaves = 6;
+    models[q] = Train(params, ds).model;
+  }
+  std::set<std::string> split_on;
+  ASSERT_EQ(models[0].trees.size(), models[1].trees.size());
+  for (size_t t = 0; t < models[0].trees.size(); ++t) {
+    const auto& a = models[0].trees[t].nodes;
+    const auto& b = models[1].trees[t].nodes;
+    ASSERT_EQ(a.size(), b.size()) << "tree " << t;
+    for (size_t n = 0; n < a.size(); ++n) {
+      SCOPED_TRACE("tree " + std::to_string(t) + " node " + std::to_string(n));
+      EXPECT_EQ(a[n].is_leaf, b[n].is_leaf);
+      EXPECT_EQ(a[n].feature, b[n].feature);
+      EXPECT_EQ(a[n].threshold, b[n].threshold);
+      EXPECT_EQ(a[n].category, b[n].category);
+      EXPECT_EQ(a[n].prediction, b[n].prediction);
+      EXPECT_EQ(a[n].count, b[n].count);
+      EXPECT_EQ(a[n].sum, b[n].sum);
+      if (!a[n].is_leaf && a[n].categorical) {
+        for (size_t i = 0; i < quoted.size(); ++i) {
+          if (a[n].category_str == quoted[i]) {
+            EXPECT_EQ(b[n].category_str, plain[i]);
+          }
+        }
+        split_on.insert(a[n].category_str);
+      }
+    }
+  }
+  // Both quoted values were split on, so both reached the SQL.
+  EXPECT_EQ(split_on.count(quoted[0]), 1u);
+  EXPECT_EQ(split_on.count(quoted[1]), 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -799,6 +799,8 @@ TEST_F(SelectivityTest, InListsSumPerValueEstimates) {
   std::string many = "t.k IN (0";
   for (int i = 1; i < 20; ++i) many += ", " + std::to_string(i);
   EXPECT_DOUBLE_EQ(Sel(many + ")"), 0.5);
+  // NOT IN keeps the complement, like IS NOT NULL.
+  EXPECT_DOUBLE_EQ(Sel("t.k NOT IN (1, 2, 3)"), 0.85);
 }
 
 TEST_F(SelectivityTest, NullPredicates) {

@@ -187,6 +187,20 @@ TEST_F(SqlEngineTest, StringDictionaryFilter) {
   EXPECT_EQ(res->GetValue(0, 0).i, 2);
 }
 
+TEST_F(SqlEngineTest, EscapedQuoteFiltersOnTheQuotedValue) {
+  db_->RegisterTable(TableBuilder("names")
+                         .AddInts("id", {1, 2, 3})
+                         .AddStrings("name", {"O'Brien", "x", "O'Brien"})
+                         .Build());
+  auto res = db_->Query(
+      "SELECT COUNT(*) AS c FROM names WHERE name = 'O''Brien'");
+  EXPECT_EQ(res->GetValue(0, 0).i, 2);
+  // The would-be injection stays one literal that matches nothing.
+  res = db_->Query("SELECT COUNT(*) AS c FROM names WHERE name = 'x'' OR "
+                   "''1''=''1'");
+  EXPECT_EQ(res->GetValue(0, 0).i, 0);
+}
+
 TEST_F(SqlEngineTest, QueryLogTagsAndTiming) {
   db_->ClearQueryLog();
   db_->Query("SELECT COUNT(*) AS c FROM r", "message");
@@ -284,6 +298,16 @@ TEST(SqlRoundTripTest, ParsePrintParse) {
     sql::Statement s2 = sql::Parse(printed);
     EXPECT_EQ(printed, sql::ToSql(s2)) << "query: " << q;
   }
+}
+
+TEST(SqlRoundTripTest, EscapedQuoteRoundTrips) {
+  sql::ExprPtr e = sql::ParseExpr("'it''s'");
+  ASSERT_EQ(e->kind, sql::ExprKind::kStringLiteral);
+  EXPECT_EQ(e->str_val, "it's");
+  const std::string printed = sql::ToSql(*e);
+  EXPECT_EQ(printed, "'it''s'");
+  EXPECT_EQ(sql::ParseExpr(printed)->str_val, "it's");
+  EXPECT_EQ(sql::QuoteString("a'b''c"), "'a''b''''c'");
 }
 
 }  // namespace
