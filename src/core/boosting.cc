@@ -4,12 +4,13 @@
 #include <sstream>
 
 #include "semiring/sql_gen.h"
+#include "sql/printer.h"
 #include "util/check.h"
 
 namespace joinboost {
 namespace core {
 
-using semiring::SqlDouble;
+using sql::DoubleLiteral;
 
 std::string ResolveUpdateStrategy(const std::string& requested,
                                   const EngineProfile& profile) {
@@ -144,20 +145,21 @@ void GradientBoosting::UpdateResidualSemiring(Session& session,
   }
 
   auto s_then = [](const LeafUpdate& l) {
-    return "s - " + SqlDouble(l.delta);
+    return "s - " + DoubleLiteral(l.delta);
   };
   auto q_then = [](const LeafUpdate& l) {
     // (1,s,q) ⊗ lift(−p) = (1, s−p, q + p² − 2·p·s)  [§5.3.1]
-    return "q + " + SqlDouble(l.delta * l.delta) + " - " +
-           SqlDouble(2.0 * l.delta) + " * s";
+    return "q + " + DoubleLiteral(l.delta * l.delta) + " - " +
+           DoubleLiteral(2.0 * l.delta) + " * s";
   };
 
   if (strategy == "update") {
     for (const auto& l : leaves) {
-      std::string sql = "UPDATE " + fact + " SET s = s - " + SqlDouble(l.delta);
+      std::string sql =
+          "UPDATE " + fact + " SET s = s - " + DoubleLiteral(l.delta);
       if (params_.track_q) {
-        sql += ", q = q + " + SqlDouble(l.delta * l.delta) + " - " +
-               SqlDouble(2.0 * l.delta) + " * s";
+        sql += ", q = q + " + DoubleLiteral(l.delta * l.delta) + " - " +
+               DoubleLiteral(2.0 * l.delta) + " * s";
       }
       if (!l.cond.empty()) sql += " WHERE " + l.cond;
       db.Execute(sql, "update");
@@ -193,7 +195,7 @@ void GradientBoosting::UpdateResidualSemiring(Session& session,
     db.Execute("CREATE TABLE " + u_name + " AS SELECT jb_rid AS u_rid, " +
                    CaseExpr(leaves, "0.0",
                             [](const LeafUpdate& l) {
-                              return SqlDouble(l.delta);
+                              return DoubleLiteral(l.delta);
                             }) +
                    " AS p FROM " + fact,
                "update");
@@ -239,13 +241,13 @@ void GradientBoosting::UpdateGeneral(Session& session,
   // 1. Advance per-row predictions.
   const std::string pred_case =
       CaseExpr(leaves, "jb_pred", [](const LeafUpdate& l) {
-        return "jb_pred + " + SqlDouble(l.delta);
+        return "jb_pred + " + DoubleLiteral(l.delta);
       });
 
   if (strategy == "update") {
     for (const auto& l : leaves) {
-      std::string sql =
-          "UPDATE " + fact + " SET jb_pred = jb_pred + " + SqlDouble(l.delta);
+      std::string sql = "UPDATE " + fact + " SET jb_pred = jb_pred + " +
+                        DoubleLiteral(l.delta);
       if (!l.cond.empty()) sql += " WHERE " + l.cond;
       db.Execute(sql, "update");
     }

@@ -1,8 +1,26 @@
 #include "core/dataset.h"
 
+#include <algorithm>
+#include <cmath>
+
 #include "util/check.h"
 
 namespace joinboost {
+
+namespace {
+
+/// True when no value of `col` is NULL, NaN or infinite.
+bool AllFinite(const ColumnData& col) {
+  if (col.type() == TypeId::kFloat64) {
+    const auto v = col.ScanDoubles();
+    return std::all_of(v->begin(), v->end(),
+                       [](double d) { return std::isfinite(d); });
+  }
+  const auto v = col.ScanInts();
+  return std::find(v->begin(), v->end(), kNullInt64) == v->end();
+}
+
+}  // namespace
 
 void Dataset::AddTable(const std::string& table,
                        std::vector<std::string> features,
@@ -47,6 +65,13 @@ void Dataset::Prepare() {
     if (!rel.y_column.empty()) {
       JB_CHECK_MSG(table->schema().HasField(rel.y_column),
                    "target " << rel.y_column << " missing from " << rel.name);
+      // A NULL (NaN) target drops out of SUM(s) but still counts in SUM(1),
+      // and an infinite one poisons every aggregate: either trains a wrong
+      // model without an error, so reject both here.
+      if (!AllFinite(*table->column(rel.y_column))) {
+        JB_THROW("target " << rel.name << "." << rel.y_column
+                           << " holds NULL, NaN or infinite values");
+      }
     }
   }
 

@@ -30,7 +30,8 @@ class Dataset {
 
   /// Validate tables/columns, measure cardinalities and edge-key uniqueness
   /// (drives N-to-1 detection, identity messages and CPT clusters). Called
-  /// automatically by Train(); idempotent.
+  /// automatically by Train(); idempotent. Throws JbError when a target
+  /// column holds a NULL, NaN or infinite value.
   void Prepare();
   bool prepared() const { return prepared_; }
 

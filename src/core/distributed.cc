@@ -7,6 +7,7 @@
 #include "core/boosting.h"
 #include "factor/message_passing.h"
 #include "semiring/sql_gen.h"
+#include "sql/printer.h"
 #include "util/check.h"
 #include "util/threadpool.h"
 #include "util/timer.h"
@@ -143,7 +144,7 @@ DistributedResult DistributedTrainer::Train(const TrainParams& params) {
       double diff = s.base_score() - base;
       if (std::fabs(diff) > 1e-15) {
         s.db().Execute("UPDATE " + s.FactTable(s.y_fact()) + " SET s = s + " +
-                           semiring::SqlDouble(diff),
+                           sql::DoubleLiteral(diff),
                        "update");
         s.fac().BumpEpoch(s.y_fact());
       }
@@ -277,11 +278,13 @@ DistributedResult DistributedTrainer::Train(const TrainParams& params) {
       left.node = li;
       right.node = ri;
       left.preds = leaf.preds;
-      left.preds.Add(leaf.best_rel, leaf.best_feature + " <= " +
-                                        semiring::SqlDouble(leaf.best_threshold));
+      left.preds.Add(leaf.best_rel,
+                     leaf.best_feature + " <= " +
+                         sql::DoubleLiteral(leaf.best_threshold));
       right.preds = leaf.preds;
-      right.preds.Add(leaf.best_rel, leaf.best_feature + " > " +
-                                         semiring::SqlDouble(leaf.best_threshold));
+      right.preds.Add(leaf.best_rel,
+                      leaf.best_feature + " > " +
+                          sql::DoubleLiteral(leaf.best_threshold));
       left.c = leaf.best_cl;
       left.s = leaf.best_sl;
       right.c = leaf.c - left.c;

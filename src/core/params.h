@@ -61,8 +61,11 @@ struct TrainParams {
   /// needs c and s — §5.3.1).
   bool track_q = false;
 
-  /// Histogram binning (Appendix D.3): 0 disables; otherwise features are
-  /// bucketed into this many bins and training runs over the cuboid.
+  /// Histogram binning (Appendix D.3): the number of feature bins. Only
+  /// factor::TrainCuboidGbdt (which requires it > 0 and trains over the
+  /// binned cuboid) and baselines::HistogramGbdt (0 = its default of 1000)
+  /// read it; joinboost::Train ignores it and always splits on exact
+  /// feature values.
   int max_bin = 0;
 
   /// Optional lifecycle guard (not owned): the trainers check it at every

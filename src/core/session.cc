@@ -4,10 +4,13 @@
 #include <sstream>
 
 #include "semiring/sql_gen.h"
+#include "sql/printer.h"
 #include "util/check.h"
 
 namespace joinboost {
 namespace core {
+
+using sql::DoubleLiteral;
 
 namespace {
 std::atomic<uint64_t> g_session_counter{0};
@@ -86,7 +89,7 @@ void Session::LiftFact(int rel, bool with_y) {
       // General gradient path (snowflake, non-rmse): maintain prediction,
       // gradient and hessian columns on the fact (Appendix B).
       const std::string& y = g.relation(rel).y_column;
-      std::string base_lit = semiring::SqlDouble(base_score_);
+      std::string base_lit = DoubleLiteral(base_score_);
       sql << ", " << base_lit << " AS jb_pred, "
           << objective_->GradientSql(y, base_lit) << " AS g";
       if (objective_->HessianSql(y, base_lit) != "1.0") {
@@ -95,10 +98,10 @@ void Session::LiftFact(int rel, bool with_y) {
     } else if (with_y) {
       // Residual semi-ring lift: s = y − base (the residual; §4).
       sql << ", " << g.relation(rel).y_column << " - "
-          << semiring::SqlDouble(base_score_) << " AS s";
+          << DoubleLiteral(base_score_) << " AS s";
       if (params_.track_q) {
         const std::string& y = g.relation(rel).y_column;
-        std::string b = semiring::SqlDouble(base_score_);
+        std::string b = DoubleLiteral(base_score_);
         sql << ", (" << y << " - " << b << ") * (" << y << " - " << b
             << ") AS q";
       }
@@ -123,10 +126,10 @@ void Session::LiftFact(int rel, bool with_y) {
     }
     sql << ", INT(COUNT(*) OVER ()) AS jb_rid, "
         << g.relation(y_rel_).y_column << " - "
-        << semiring::SqlDouble(base_score_) << " AS s";
+        << DoubleLiteral(base_score_) << " AS s";
     if (params_.track_q) {
       const std::string& y = g.relation(y_rel_).y_column;
-      std::string b = semiring::SqlDouble(base_score_);
+      std::string b = DoubleLiteral(base_score_);
       sql << ", (" << y << " - " << b << ") * (" << y << " - " << b
           << ") AS q";
     }
@@ -230,7 +233,7 @@ void Session::Prepare() {
         b.q_col = "q";
       } else {
         b.s_col = "g";
-        std::string base_lit = semiring::SqlDouble(base_score_);
+        std::string base_lit = DoubleLiteral(base_score_);
         if (objective_->HessianSql(g.relation(static_cast<int>(r)).y_column,
                                    base_lit) != "1.0") {
           b.has_c = true;

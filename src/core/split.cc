@@ -6,16 +6,16 @@
 #include <sstream>
 #include <vector>
 
-#include "semiring/sql_gen.h"
+#include "sql/printer.h"
 
 namespace joinboost {
 namespace core {
 
 std::string CriterionSql(const CriterionParams& p) {
-  using semiring::SqlDouble;
-  std::string S = SqlDouble(p.s_total);
-  std::string C = SqlDouble(p.c_total);
-  std::string lam = SqlDouble(p.lambda);
+  using sql::DoubleLiteral;
+  std::string S = DoubleLiteral(p.s_total);
+  std::string C = DoubleLiteral(p.c_total);
+  std::string lam = DoubleLiteral(p.lambda);
   std::ostringstream os;
   if (p.halved) os << "0.5 * (";
   os << "(s / (c + " << lam << ")) * s"
@@ -29,10 +29,10 @@ std::string CriterionSql(const CriterionParams& p) {
 namespace {
 
 std::string BoundsPredicate(const CriterionParams& p) {
-  using semiring::SqlDouble;
+  using sql::DoubleLiteral;
   std::ostringstream os;
-  os << "c >= " << SqlDouble(p.min_leaf) << " AND c <= "
-     << SqlDouble(p.c_total - p.min_leaf);
+  os << "c >= " << DoubleLiteral(p.min_leaf) << " AND c <= "
+     << DoubleLiteral(p.c_total - p.min_leaf);
   return os.str();
 }
 

@@ -320,8 +320,8 @@ GrowthResult TreeGrower::Grow(const std::vector<std::string>& features,
       left_pred = sp.feature + " = " + sql::QuoteString(sp.category_str);
       right_pred = sp.feature + " <> " + sql::QuoteString(sp.category_str);
     } else {
-      left_pred = sp.feature + " <= " + semiring::SqlDouble(sp.threshold);
-      right_pred = sp.feature + " > " + semiring::SqlDouble(sp.threshold);
+      left_pred = sp.feature + " <= " + sql::DoubleLiteral(sp.threshold);
+      right_pred = sp.feature + " > " + sql::DoubleLiteral(sp.threshold);
     }
 
     LeafState left;

@@ -12,7 +12,6 @@ namespace exec {
 
 namespace {
 
-using compression::EncodedDoubles;
 using compression::EncodedInts;
 using compression::kBlockSize;
 
@@ -261,14 +260,11 @@ CompressedScanResult TryCompressedScan(const Table& table,
     uint32_t count = 0;
     uint32_t chunk = 0;
   };
-  std::vector<uint8_t> enc_int(n_cols, 0);
-  std::vector<uint8_t> enc_dbl(n_cols, 0);
+  std::vector<uint8_t> enc(n_cols, 0);
   const std::vector<size_t>* ref_offsets = nullptr;
-  bool any_encoded = false;
   for (size_t c = 0; c < n_cols; ++c) {
     const auto& col = table.column(static_cast<size_t>(cols[c]));
     if (!col->encoded()) continue;
-    any_encoded = true;
     for (const auto& ch : col->chunks()) {
       // Mixed plain/encoded chunk lists (possible only through exotic swap
       // sequences) are not worth a third code path here.
@@ -279,13 +275,9 @@ CompressedScanResult TryCompressedScan(const Table& table,
     } else if (col->chunk_offsets() != *ref_offsets) {
       return res;
     }
-    if (col->type() == TypeId::kFloat64) {
-      enc_dbl[c] = 1;
-    } else {
-      enc_int[c] = 1;
-    }
+    enc[c] = 1;
   }
-  if (!any_encoded) return res;
+  if (ref_offsets == nullptr) return res;  // nothing encoded
 
   std::vector<BlockSpan> layout;
   // Per-chunk [first, last) global block ids, for chunk-level accounting.
@@ -304,23 +296,16 @@ CompressedScanResult TryCompressedScan(const Table& table,
   }
   // Per-column block pointer arrays in global block order.
   std::vector<std::vector<const EncodedInts::Block*>> iblk(n_cols);
-  std::vector<std::vector<const EncodedDoubles::Block*>> dblk(n_cols);
   for (size_t c = 0; c < n_cols; ++c) {
-    if (!enc_int[c] && !enc_dbl[c]) continue;
+    if (!enc[c]) continue;
     const auto& col = table.column(static_cast<size_t>(cols[c]));
     auto& iv = iblk[c];
-    auto& dv = dblk[c];
     for (const auto& ch : col->chunks()) {
-      if (enc_int[c]) {
-        for (const auto& b : ch->enc_ints->blocks) iv.push_back(&b);
-      } else {
-        for (const auto& b : ch->enc_dbls->blocks) dv.push_back(&b);
-      }
+      for (const auto& b : ch->enc_ints->blocks) iv.push_back(&b);
     }
-    const size_t got = enc_int[c] ? iv.size() : dv.size();
-    if (got != layout.size()) return res;  // defensive: layout disagreement
+    // Defensive: the column's blocks disagree with the shared layout.
+    if (iv.size() != layout.size()) return res;
   }
-  const auto& enc = enc_int;  // anchor-candidate flags for LowerConjunct
 
   std::vector<const sql::Expr*> conjuncts;
   SplitAnd(&filter, &conjuncts);
@@ -358,7 +343,7 @@ CompressedScanResult TryCompressedScan(const Table& table,
   // only on predicate outcomes — never on morsel or thread layout.
   std::vector<std::vector<uint8_t>> touched(n_cols);
   for (size_t c = 0; c < n_cols; ++c) {
-    if (enc_int[c] || enc_dbl[c]) touched[c].assign(n_blocks, 0);
+    if (enc[c]) touched[c].assign(n_blocks, 0);
   }
 
   util::QueryGuard* guard = ctx.guard;
@@ -428,28 +413,12 @@ CompressedScanResult TryCompressedScan(const Table& table,
     VectorData v;
     v.type = col->type();
     v.dict = col->dict();
-    if (enc_dbl[c]) {
-      std::vector<double> out;
-      out.reserve(at.size());
-      std::vector<double> buf(kBlockSize);
-      size_t bi = 0;
-      size_t cur = n_blocks;  // sentinel: no block decoded yet
-      for (uint32_t r : at) {
-        while (r >= layout[bi].row_begin + layout[bi].count) ++bi;
-        if (bi != cur) {
-          compression::DecodeDoublesBlock(*dblk[c][bi], buf.data());
-          touched[c][bi] = 1;
-          cur = bi;
-        }
-        out.push_back(buf[r - layout[bi].row_begin]);
-      }
-      v.dbls = std::make_shared<const std::vector<double>>(std::move(out));
-    } else if (enc_int[c]) {
+    if (enc[c]) {
       std::vector<int64_t> out;
       out.reserve(at.size());
       int64_t buf[kBlockSize];
       size_t bi = 0;
-      size_t cur = n_blocks;
+      size_t cur = n_blocks;  // sentinel: no block decoded yet
       for (uint32_t r : at) {
         while (r >= layout[bi].row_begin + layout[bi].count) ++bi;
         if (bi != cur) {

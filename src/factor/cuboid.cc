@@ -6,14 +6,14 @@
 #include "core/evaluate.h"
 #include "core/trainer.h"
 #include "factor/message_passing.h"
-#include "semiring/sql_gen.h"
+#include "sql/printer.h"
 #include "util/check.h"
 #include "util/timer.h"
 
 namespace joinboost {
 namespace factor {
 
-using semiring::SqlDouble;
+using sql::DoubleLiteral;
 
 CuboidResult TrainCuboidGbdt(Dataset& dataset,
                              const core::TrainParams& params) {
@@ -45,8 +45,8 @@ CuboidResult TrainCuboidGbdt(Dataset& dataset,
     specs.push_back(spec);
   }
   auto bin_expr = [&](const BinSpec& s) {
-    return "LEAST(INT((" + s.feature + " - " + SqlDouble(s.min) + ") / " +
-           SqlDouble(s.width) + "), " + std::to_string(params.max_bin - 1) +
+    return "LEAST(INT((" + s.feature + " - " + DoubleLiteral(s.min) + ") / " +
+           DoubleLiteral(s.width) + "), " + std::to_string(params.max_bin - 1) +
            ")";
   };
 
@@ -82,9 +82,9 @@ CuboidResult TrainCuboidGbdt(Dataset& dataset,
                       "cuboid");
   double total_c = tot->GetValue(0, 0).AsDouble();
   double base = total_c > 0 ? tot->GetValue(0, 1).AsDouble() / total_c : 0;
-  db.Execute("UPDATE " + cuboid + " SET s = s - " + SqlDouble(base) +
-                 " * c, q = q - " + SqlDouble(2 * base) + " * s + " +
-                 SqlDouble(base * base) + " * c",
+  db.Execute("UPDATE " + cuboid + " SET s = s - " + DoubleLiteral(base) +
+                 " * c, q = q - " + DoubleLiteral(2 * base) + " * s + " +
+                 DoubleLiteral(base * base) + " * c",
              "cuboid");
   out.cuboid_seconds = timer.Seconds();
 
@@ -138,9 +138,9 @@ CuboidResult TrainCuboidGbdt(Dataset& dataset,
         }
       }
       std::string sql = "UPDATE " + cuboid + " SET s = s - " +
-                        SqlDouble(delta) + " * c, q = q + " +
-                        SqlDouble(delta * delta) + " * c - " +
-                        SqlDouble(2 * delta) + " * s";
+                        DoubleLiteral(delta) + " * c, q = q + " +
+                        DoubleLiteral(delta * delta) + " * c - " +
+                        DoubleLiteral(2 * delta) + " * s";
       if (!cond.empty()) sql += " WHERE " + cond;
       db.Execute(sql, "update");
     }

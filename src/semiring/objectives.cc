@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cmath>
 
-#include "semiring/sql_gen.h"
+#include "sql/printer.h"
 #include "util/check.h"
 
 namespace joinboost {
 namespace semiring {
+
+using sql::DoubleLiteral;
 
 double Objective::InitScore(const std::vector<double>& y) const {
   if (y.empty()) return 0;
@@ -92,7 +94,7 @@ class HuberObjective : public Objective {
   std::string GradientSql(const std::string& y,
                           const std::string& p) const override {
     std::string e = Residual(y, p);
-    std::string d = SqlDouble(delta_);
+    std::string d = DoubleLiteral(delta_);
     return "CASE WHEN ABS(" + e + ") <= " + d + " THEN " + e + " ELSE " + d +
            " * SIGN(" + e + ") END";
   }
@@ -124,14 +126,14 @@ class FairObjective : public Objective {
   std::string GradientSql(const std::string& y,
                           const std::string& p) const override {
     std::string e = Residual(y, p);
-    return SqlDouble(c_) + " * " + e + " / (ABS(" + e + ") + " + SqlDouble(c_) +
-           ")";
+    return DoubleLiteral(c_) + " * " + e + " / (ABS(" + e + ") + " +
+           DoubleLiteral(c_) + ")";
   }
   std::string HessianSql(const std::string& y,
                          const std::string& p) const override {
     std::string e = Residual(y, p);
-    std::string den = "(ABS(" + e + ") + " + SqlDouble(c_) + ")";
-    return SqlDouble(c_ * c_) + " / (" + den + " * " + den + ")";
+    std::string den = "(ABS(" + e + ") + " + DoubleLiteral(c_) + ")";
+    return DoubleLiteral(c_ * c_) + " / (" + den + " * " + den + ")";
   }
 
  private:
@@ -180,8 +182,9 @@ class QuantileObjective : public Objective {
   }
   std::string GradientSql(const std::string& y,
                           const std::string& p) const override {
-    return "CASE WHEN " + Residual(y, p) + " >= 0 THEN " + SqlDouble(alpha_) +
-           " ELSE " + SqlDouble(alpha_ - 1.0) + " END";
+    return "CASE WHEN " + Residual(y, p) + " >= 0 THEN " +
+           DoubleLiteral(alpha_) + " ELSE " + DoubleLiteral(alpha_ - 1.0) +
+           " END";
   }
   std::string HessianSql(const std::string&,
                          const std::string&) const override {
@@ -269,14 +272,15 @@ class TweedieObjective : public Objective {
   }
   std::string GradientSql(const std::string& y,
                           const std::string& p) const override {
-    return y + " * EXP(" + SqlDouble(1 - rho_) + " * " + p + ") - EXP(" +
-           SqlDouble(2 - rho_) + " * " + p + ")";
+    return y + " * EXP(" + DoubleLiteral(1 - rho_) + " * " + p + ") - EXP(" +
+           DoubleLiteral(2 - rho_) + " * " + p + ")";
   }
   std::string HessianSql(const std::string& y,
                          const std::string& p) const override {
-    return SqlDouble(-(1 - rho_)) + " * " + y + " * EXP(" + SqlDouble(1 - rho_) +
-           " * " + p + ") + " + SqlDouble(2 - rho_) + " * EXP(" +
-           SqlDouble(2 - rho_) + " * " + p + ")";
+    return DoubleLiteral(-(1 - rho_)) + " * " + y + " * EXP(" +
+           DoubleLiteral(1 - rho_) + " * " + p + ") + " +
+           DoubleLiteral(2 - rho_) + " * EXP(" + DoubleLiteral(2 - rho_) +
+           " * " + p + ")";
   }
 
  private:

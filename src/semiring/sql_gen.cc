@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "sql/printer.h"
 #include "util/check.h"
 
 namespace joinboost {
@@ -74,13 +75,13 @@ std::string VarianceSqlGen::MulQ(const std::vector<SqlOperand>& ops) {
 
 std::string VarianceSqlGen::UpdateS(const std::string& s, const std::string& c,
                                     double p) {
-  return s + " - " + SqlDouble(p) + " * " + c;
+  return s + " - " + sql::DoubleLiteral(p) + " * " + c;
 }
 
 std::string VarianceSqlGen::UpdateQ(const std::string& q, const std::string& s,
                                     const std::string& c, double p) {
-  return q + " + " + SqlDouble(p * p) + " * " + c + " - " +
-         SqlDouble(2.0 * p) + " * " + s;
+  return q + " + " + sql::DoubleLiteral(p * p) + " * " + c + " - " +
+         sql::DoubleLiteral(2.0 * p) + " * " + s;
 }
 
 namespace {
@@ -146,21 +147,6 @@ std::string ClassCountSqlGen::HistogramQuery(
     sums.push_back("SUM(" + cls_exprs[k] + ") AS cls" + std::to_string(k));
   }
   return HistogramQueryImpl(attrs, from_where, sums);
-}
-
-std::string SqlDouble(double v) {
-  std::ostringstream os;
-  os.precision(17);
-  os << v;
-  std::string s = os.str();
-  if (s.find('.') == std::string::npos && s.find('e') == std::string::npos &&
-      s.find("inf") == std::string::npos && s.find("nan") == std::string::npos) {
-    s += ".0";
-  }
-  // Negative literals must parenthesize to survive re-parsing inside
-  // multiplicative contexts.
-  if (!s.empty() && s[0] == '-') s = "(" + s + ")";
-  return s;
 }
 
 }  // namespace semiring

@@ -78,8 +78,5 @@ class ClassCountSqlGen {
                                     const std::vector<std::string>& cls_exprs);
 };
 
-/// Format a double literal for SQL (always re-parses as FLOAT).
-std::string SqlDouble(double v);
-
 }  // namespace semiring
 }  // namespace joinboost

@@ -1,5 +1,6 @@
 #include "sql/printer.h"
 
+#include <cmath>
 #include <sstream>
 
 #include "util/check.h"
@@ -28,21 +29,9 @@ void PrintExpr(const Expr& e, std::ostream& os) {
     case ExprKind::kIntLiteral:
       os << e.int_val;
       break;
-    case ExprKind::kFloatLiteral: {
-      std::ostringstream tmp;
-      tmp.precision(17);
-      tmp << e.float_val;
-      std::string t = tmp.str();
-      os << t;
-      // make sure it re-parses as a float
-      if (t.find('.') == std::string::npos &&
-          t.find('e') == std::string::npos &&
-          t.find("inf") == std::string::npos &&
-          t.find("nan") == std::string::npos) {
-        os << ".0";
-      }
+    case ExprKind::kFloatLiteral:
+      os << DoubleLiteral(e.float_val);
       break;
-    }
     case ExprKind::kStringLiteral:
       os << QuoteString(e.str_val);
       break;
@@ -252,6 +241,26 @@ std::string ToSql(const Statement& stmt) {
       break;
   }
   return os.str();
+}
+
+std::string DoubleLiteral(double value) {
+  // The grammar has no spelling for non-finite values. An overflowing
+  // literal reads back as infinity (the lexer converts with strtod), and a
+  // NaN is the float NULL.
+  if (std::isnan(value)) return "NULL";
+  if (std::isinf(value)) return value > 0 ? "1e999" : "(-1e999)";
+  std::ostringstream os;
+  os.precision(17);
+  os << value;
+  std::string s = os.str();
+  // An integral value keeps a fraction so that it re-parses as a float.
+  if (s.find('.') == std::string::npos && s.find('e') == std::string::npos) {
+    s += ".0";
+  }
+  // A negative literal is parenthesized so that it re-parses as one operand
+  // inside multiplicative contexts.
+  if (s[0] == '-') s = "(" + s + ")";
+  return s;
 }
 
 std::string QuoteString(const std::string& value) {

@@ -49,7 +49,7 @@ ColumnPtr ColumnData::FromChunks(TypeId type, std::vector<ChunkPtr> chunks,
   for (const auto& ch : chunks) {
     JB_CHECK_MSG(ch != nullptr, "null column chunk");
     if (type == TypeId::kFloat64) {
-      JB_CHECK_MSG(ch->encoded ? ch->enc_dbls != nullptr : ch->dbls != nullptr,
+      JB_CHECK_MSG(!ch->encoded && ch->dbls != nullptr,
                    "chunk payload does not match float column type");
     } else {
       JB_CHECK_MSG(ch->encoded ? ch->enc_ints != nullptr : ch->ints != nullptr,
@@ -70,18 +70,14 @@ bool ColumnData::encoded() const {
 }
 
 void ColumnData::Encode() {
+  if (type_ == TypeId::kFloat64) return;  // no double codec: see compression.h
   for (auto& ch : chunks_) {
     if (ch->encoded) continue;
     auto enc = std::make_shared<ColumnChunk>();
     enc->rows = ch->rows;
     enc->encoded = true;
-    if (type_ == TypeId::kFloat64) {
-      enc->enc_dbls = std::make_shared<const compression::EncodedDoubles>(
-          compression::EncodeDoubles(*ch->dbls));
-    } else {
-      enc->enc_ints = std::make_shared<const compression::EncodedInts>(
-          compression::EncodeInts(*ch->ints));
-    }
+    enc->enc_ints = std::make_shared<const compression::EncodedInts>(
+        compression::EncodeInts(*ch->ints));
     ch = std::move(enc);
   }
 }
@@ -91,13 +87,8 @@ void ColumnData::Decode() {
     if (!ch->encoded) continue;
     auto plain = std::make_shared<ColumnChunk>();
     plain->rows = ch->rows;
-    if (type_ == TypeId::kFloat64) {
-      plain->dbls = std::make_shared<const std::vector<double>>(
-          compression::DecodeDoubles(*ch->enc_dbls));
-    } else {
-      plain->ints = std::make_shared<const std::vector<int64_t>>(
-          compression::DecodeInts(*ch->enc_ints));
-    }
+    plain->ints = std::make_shared<const std::vector<int64_t>>(
+        compression::DecodeInts(*ch->enc_ints));
     ch = std::move(plain);
   }
 }
@@ -215,34 +206,10 @@ void ColumnData::MaterializeDoubles(size_t begin, size_t end,
   size_t ci = ChunkIndexOf(begin);
   for (size_t r = begin; r < end;) {
     while (r >= offsets_[ci + 1]) ++ci;
-    const ColumnChunk& ch = *chunks_[ci];
     const size_t cbegin = offsets_[ci];
     const size_t take_end = std::min(end, offsets_[ci + 1]);
-    if (!ch.encoded) {
-      const double* src = ch.dbls->data();
-      std::copy(src + (r - cbegin), src + (take_end - cbegin),
-                out + (r - begin));
-    } else {
-      size_t local = r - cbegin;
-      const size_t local_end = take_end - cbegin;
-      while (local < local_end) {
-        const size_t b = local / compression::kBlockSize;
-        const auto& block = ch.enc_dbls->blocks[b];
-        const size_t bbegin = b * compression::kBlockSize;
-        const size_t bend = bbegin + block.count;
-        const size_t hi = std::min(local_end, bend);
-        if (local == bbegin && hi == bend) {
-          compression::DecodeDoublesBlock(block,
-                                          out + (cbegin + local - begin));
-        } else {
-          double buf[compression::kBlockSize];
-          compression::DecodeDoublesBlock(block, buf);
-          std::copy(buf + (local - bbegin), buf + (hi - bbegin),
-                    out + (cbegin + local - begin));
-        }
-        local = hi;
-      }
-    }
+    const double* src = chunks_[ci]->dbls->data();
+    std::copy(src + (r - cbegin), src + (take_end - cbegin), out + (r - begin));
     r = take_end;
   }
 }
@@ -282,12 +249,7 @@ void ColumnData::ReplaceDoubles(std::vector<double> values) {
 size_t ColumnData::ByteSize() const {
   size_t bytes = 0;
   for (const auto& ch : chunks_) {
-    if (ch->encoded) {
-      bytes += type_ == TypeId::kFloat64 ? ch->enc_dbls->ByteSize()
-                                         : ch->enc_ints->ByteSize();
-    } else {
-      bytes += ch->rows * 8;
-    }
+    bytes += ch->encoded ? ch->enc_ints->ByteSize() : ch->rows * 8;
   }
   return bytes;
 }
@@ -308,13 +270,6 @@ Value ColumnData::GetValue(size_t row) const {
   const ColumnChunk& ch = *chunks_[ci];
   const size_t local = row - offsets_[ci];
   if (ch.encoded) {
-    if (type_ == TypeId::kFloat64) {
-      // Row access on compressed doubles decodes only the enclosing block.
-      const auto& block = ch.enc_dbls->blocks[local / compression::kBlockSize];
-      std::vector<double> tmp(block.count);
-      compression::DecodeDoublesBlock(block, tmp.data());
-      return Value::Double(tmp[local % compression::kBlockSize]);
-    }
     int64_t code = compression::UnpackOne(
         ch.enc_ints->blocks[local / compression::kBlockSize],
         local % compression::kBlockSize);

@@ -45,14 +45,14 @@ using ColumnPtr = std::shared_ptr<ColumnData>;
 /// plain payload or a compressed one (never both) and is never mutated after
 /// it is sealed: appends add new segments behind the existing ones and
 /// rewrites build replacement segments aside, so concurrent readers keep
-/// whatever segment list they captured.
+/// whatever segment list they captured. Only int/string segments are ever
+/// compressed; float segments are always plain.
 struct ColumnChunk {
   size_t rows = 0;
   bool encoded = false;
   std::shared_ptr<const std::vector<int64_t>> ints;
   std::shared_ptr<const std::vector<double>> dbls;
   std::shared_ptr<const compression::EncodedInts> enc_ints;
-  std::shared_ptr<const compression::EncodedDoubles> enc_dbls;
 };
 using ChunkPtr = std::shared_ptr<const ColumnChunk>;
 
@@ -81,9 +81,10 @@ struct EncodedView {
 class ColumnData {
  public:
   /// The one construction entry point: adopt a sealed chunk list. Chunks must
-  /// match `type` (int payloads for kInt64/kString, double payloads for
-  /// kFloat64); kString requires a dictionary. An empty list builds a valid
-  /// zero-row column. Use ColumnBuilder to produce chunk lists from values.
+  /// match `type` (int payloads for kInt64/kString, plain double payloads
+  /// for kFloat64); kString requires a dictionary. An empty list builds a
+  /// valid zero-row column. Use ColumnBuilder to produce chunk lists from
+  /// values.
   static ColumnPtr FromChunks(TypeId type, std::vector<ChunkPtr> chunks,
                               DictionaryPtr dict = nullptr);
 
@@ -106,7 +107,8 @@ class ColumnData {
   /// version — they change representation, not values.
   uint64_t version() const { return version_; }
 
-  /// Compress every plain chunk (real CPU cost). No-op when already encoded.
+  /// Compress every plain int/string chunk (real CPU cost). No-op when
+  /// already encoded, and for float columns, which always stay plain.
   void Encode();
 
   /// Decompress every chunk back to plain storage. No-op when plain.

@@ -1,8 +1,6 @@
 #include "storage/compression.h"
 
-#include <cstring>
-
-#include "util/check.h"
+#include <algorithm>
 
 namespace joinboost {
 namespace compression {
@@ -23,12 +21,6 @@ uint8_t BitsNeeded(uint64_t v) {
 size_t EncodedInts::ByteSize() const {
   size_t total = 0;
   for (const auto& b : blocks) total += b.words.size() * 8 + 16;
-  return total;
-}
-
-size_t EncodedDoubles::ByteSize() const {
-  size_t total = 0;
-  for (const auto& b : blocks) total += b.bytes.size() + 8;
   return total;
 }
 
@@ -128,65 +120,6 @@ std::vector<int64_t> DecodeInts(const EncodedInts& enc) {
   size_t pos = 0;
   for (const auto& block : enc.blocks) {
     UnpackBlock(block, out.data() + pos);
-    pos += block.count;
-  }
-  return out;
-}
-
-EncodedDoubles EncodeDoubles(const std::vector<double>& values) {
-  EncodedDoubles out;
-  out.size = values.size();
-  for (size_t start = 0; start < values.size(); start += kBlockSize) {
-    size_t end = std::min(values.size(), start + kBlockSize);
-    EncodedDoubles::Block block;
-    block.count = static_cast<uint32_t>(end - start);
-    block.bytes.reserve((end - start) * 5);
-    uint64_t prev = 0;
-    for (size_t i = start; i < end; ++i) {
-      uint64_t bits;
-      std::memcpy(&bits, &values[i], 8);
-      uint64_t x = bits ^ prev;
-      prev = bits;
-      // Varint-ish: emit the number of significant bytes, then those bytes,
-      // dropping leading zero bytes (most consecutive doubles share exponent
-      // and high mantissa bits, so xor leaves low entropy on top).
-      uint8_t nbytes = 0;
-      uint64_t tmp = x;
-      while (tmp) {
-        ++nbytes;
-        tmp >>= 8;
-      }
-      block.bytes.push_back(nbytes);
-      for (uint8_t b = 0; b < nbytes; ++b) {
-        block.bytes.push_back(static_cast<uint8_t>(x >> (8 * b)));
-      }
-    }
-    out.blocks.push_back(std::move(block));
-  }
-  return out;
-}
-
-void DecodeDoublesBlock(const EncodedDoubles::Block& block, double* out) {
-  size_t pos = 0;
-  uint64_t prev = 0;  // the XOR chain resets per block, so blocks decode alone
-  for (uint32_t i = 0; i < block.count; ++i) {
-    JB_CHECK(pos < block.bytes.size());
-    uint8_t nbytes = block.bytes[pos++];
-    uint64_t x = 0;
-    for (uint8_t b = 0; b < nbytes; ++b) {
-      x |= static_cast<uint64_t>(block.bytes[pos++]) << (8 * b);
-    }
-    uint64_t bits = x ^ prev;
-    prev = bits;
-    std::memcpy(&out[i], &bits, 8);
-  }
-}
-
-std::vector<double> DecodeDoubles(const EncodedDoubles& enc) {
-  std::vector<double> out(enc.size);
-  size_t pos = 0;
-  for (const auto& block : enc.blocks) {
-    DecodeDoublesBlock(block, out.data() + pos);
     pos += block.count;
   }
   return out;

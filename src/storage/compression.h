@@ -8,12 +8,15 @@ namespace joinboost {
 
 /// Block-based lightweight compression, mirroring what columnar engines do and
 /// what the paper identifies as a residual-update cost (§5.3.2 "Compression").
-/// These are real codecs: encoding and decoding costs are genuine CPU work,
+/// This is a real codec: encoding and decoding costs are genuine CPU work,
 /// not simulated sleeps.
 ///
-/// - Int64: per-block frame-of-reference + bit-packing.
-/// - Float64: per-block XOR-with-previous + leading/trailing zero-byte
-///   truncation (a simplified Gorilla scheme).
+/// Int64 and dictionary-coded string columns use per-block
+/// frame-of-reference + bit-packing. Float64 columns have no codec and stay
+/// plain at 8 bytes per value: like DuckDB, which leaves a segment
+/// uncompressed when no codec shrinks it, because the residuals, targets
+/// and features the generators produce do not compress (measured sizes in
+/// docs/ARCHITECTURE.md, "Doubles stay plain").
 namespace compression {
 
 constexpr size_t kBlockSize = 4096;  ///< values per compressed block
@@ -34,18 +37,6 @@ struct EncodedInts {
   size_t ByteSize() const;
 };
 
-/// Compressed float64 column payload.
-struct EncodedDoubles {
-  struct Block {
-    uint32_t count = 0;
-    std::vector<uint8_t> bytes;  ///< xor-compressed stream
-  };
-  std::vector<Block> blocks;
-  size_t size = 0;
-
-  size_t ByteSize() const;
-};
-
 EncodedInts EncodeInts(const std::vector<int64_t>& values);
 std::vector<int64_t> DecodeInts(const EncodedInts& enc);
 
@@ -59,13 +50,6 @@ void UnpackBlock(const EncodedInts::Block& block, int64_t* out);
 /// Unpack a single value at `index` within a block without materializing the
 /// rest (used for point lookups on encoded columns).
 int64_t UnpackOne(const EncodedInts::Block& block, size_t index);
-
-EncodedDoubles EncodeDoubles(const std::vector<double>& values);
-std::vector<double> DecodeDoubles(const EncodedDoubles& enc);
-
-/// Decode one double block in isolation (each block resets the XOR chain, so
-/// blocks are independently decodable). Writes `block.count` values to `out`.
-void DecodeDoublesBlock(const EncodedDoubles::Block& block, double* out);
 
 }  // namespace compression
 }  // namespace joinboost

@@ -14,7 +14,10 @@ struct EngineProfile {
   /// Vectorized columnar operators (true) vs. tuple-at-a-time row execution.
   bool columnar_exec = true;
 
-  /// Compress table payloads at rest; scans decompress, writes recompress.
+  /// Compress int and dictionary-coded string columns at rest
+  /// (frame-of-reference + bit-packing); scans decompress, writes
+  /// recompress. Float64 columns stay plain: no double codec shrinks them
+  /// (see storage/compression.h).
   bool compression = false;
 
   /// Write-ahead logging of updates / created tables.

@@ -113,6 +113,42 @@ TEST(ProfileBehaviourTest, CompressionAppliedAtRest) {
   EXPECT_LT(t->ByteSize(), 50000 * 8 / 8);  // constant column packs tightly
 }
 
+TEST(ProfileBehaviourTest, DoublesStayPlainWhileIntsEncode) {
+  // No double codec shrinks float columns, so every write path of a
+  // compressing profile leaves them plain at 8 bytes per value, while int
+  // columns keep frame-of-reference encoding.
+  for (const EngineProfile& profile :
+       {EngineProfile::DSwap(), EngineProfile::XCol()}) {
+    SCOPED_TRACE(profile.name);
+    exec::Database db(profile);
+    auto check = [&](const std::string& name) {
+      auto table = db.catalog().Get(name);
+      for (size_t i = 0; i < table->num_columns(); ++i) {
+        SCOPED_TRACE(name + "." + table->schema().field(i).name);
+        const auto& col = table->column(i);
+        if (col->type() == TypeId::kFloat64) {
+          EXPECT_FALSE(col->encoded());
+          EXPECT_EQ(col->ByteSize(), col->size() * 8);
+        } else {
+          EXPECT_TRUE(col->encoded());
+        }
+      }
+    };
+    std::vector<int64_t> k(10000);
+    std::vector<double> v(10000);
+    for (size_t i = 0; i < k.size(); ++i) {
+      k[i] = static_cast<int64_t>(i % 7);
+      v[i] = 0.5 * static_cast<double>(i);
+    }
+    db.LoadTable(TableBuilder("t").AddInts("k", k).AddDoubles("v", v).Build());
+    check("t");
+    db.Execute("CREATE TABLE c AS SELECT k, v * 2 AS w FROM t");
+    check("c");
+    db.Execute("UPDATE t SET v = v + 1, k = k + 1 WHERE k = 3");
+    check("t");
+  }
+}
+
 TEST(ProfileBehaviourTest, SwapRequiresCapability) {
   exec::Database db(EngineProfile::DMem());  // no column swap
   db.LoadTable(TableBuilder("a").AddDoubles("v", {1}).Build());

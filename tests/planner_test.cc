@@ -835,8 +835,10 @@ TEST_F(SelectivityTest, UnsupportedShapesFallBackToHeuristics) {
 }
 
 TEST(PlannerStatsTest, ProjectionPruningSkipsDecompression) {
-  // D-Swap compresses loaded tables; a planned aggregate over one of four
-  // columns must decode exactly that column.
+  // D-Swap compresses the loaded table's int columns (a, u); its double
+  // columns (v, w) stay plain and cost no decode. A planned aggregate reads
+  // a (filter) and v (agg), so it decodes 1 column: a. The unplanned path
+  // reads all four, so it decodes 2: a and u.
   EngineProfile on = EngineProfile::DSwap();
   EngineProfile off = EngineProfile::DSwap();
   off.use_planner = false;
@@ -853,9 +855,9 @@ TEST(PlannerStatsTest, ProjectionPruningSkipsDecompression) {
   plan::PlanStats with_planner = planned.PlanStatsTotals();
   plan::PlanStats without = unplanned.PlanStatsTotals();
   EXPECT_EQ(with_planner.queries_planned, 1u);
-  EXPECT_EQ(with_planner.cols_decompressed, 2u);  // a (filter) + v (agg)
+  EXPECT_EQ(with_planner.cols_decompressed, 1u);  // a
   EXPECT_EQ(with_planner.cols_pruned, 2u);        // w, u skipped
-  EXPECT_EQ(without.cols_decompressed, 4u);       // unplanned decodes all
+  EXPECT_EQ(without.cols_decompressed, 2u);       // a, u
   EXPECT_EQ(without.queries_planned, 0u);
   EXPECT_LT(with_planner.cells_decompressed, without.cells_decompressed);
   EXPECT_EQ(with_planner.predicates_pushed, 1u);

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "exec/engine.h"
 #include "sql/parser.h"
 #include "sql/printer.h"
@@ -308,6 +311,17 @@ TEST(SqlRoundTripTest, EscapedQuoteRoundTrips) {
   EXPECT_EQ(printed, "'it''s'");
   EXPECT_EQ(sql::ParseExpr(printed)->str_val, "it's");
   EXPECT_EQ(sql::QuoteString("a'b''c"), "'a''b''''c'");
+}
+
+TEST(SqlRoundTripTest, NonFiniteFloatLiteralsRoundTrip) {
+  const double inf = std::numeric_limits<double>::infinity();
+  sql::ExprPtr e = sql::ParseExpr(sql::ToSql(*sql::ParseExpr("1e999")));
+  ASSERT_EQ(e->kind, sql::ExprKind::kFloatLiteral);
+  EXPECT_EQ(e->float_val, inf);
+  // -Inf prints as a negated overflow and NaN, the float NULL, as NULL.
+  EXPECT_EQ(sql::ToSql(*sql::Expr::Float(-inf)), "(-1e999)");
+  EXPECT_EQ(sql::ParseExpr(sql::ToSql(*sql::Expr::Float(std::nan(""))))->kind,
+            sql::ExprKind::kNullLiteral);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Bench-regression guard: compare deterministic counters in a bench JSON
-against a committed baseline and fail when any counter regresses beyond the
+against a committed baseline and fail when any counter moves beyond the
 allowed fraction.
 
 Usage:
@@ -9,9 +9,13 @@ Usage:
 
 PATH is a dotted path into the JSON (e.g. "planner_on.feature_queries").
 A trailing ".*" expands to every numeric key of the baseline object at that
-path (e.g. "counters.*"). Counters are higher-is-worse: a regression is
-current > baseline * (1 + max_regress). Improvements beyond the same margin
-are reported as a hint to refresh the baseline, but do not fail.
+path (e.g. "counters.*"). The guard is two-sided: a counter fails when
+current > baseline * (1 + max_regress) or current < baseline *
+(1 - max_regress). Deterministic counters have no noise, and some are
+higher-is-better (blocks_skipped, cells_decompress_avoided,
+scan_chunks_pruned), so a drop can be a lost optimization as surely as a rise
+can be added work. A change that moves a counter on purpose refreshes the
+baseline in the same commit.
 
 Exit status: 0 when every counter is within bounds, 1 otherwise.
 """
@@ -76,13 +80,11 @@ def main():
             print(f"FAIL {path}: missing or non-numeric in current output")
             failed = True
             continue
-        limit = base * (1.0 + args.max_regress)
-        if cur > limit:
-            print(f"FAIL {path}: {cur} > {base} (+{args.max_regress:.0%} allowed)")
+        if (cur > base * (1.0 + args.max_regress) or
+                cur < base * (1.0 - args.max_regress)):
+            print(f"FAIL {path}: {cur} vs baseline {base} "
+                  f"(+/-{args.max_regress:.0%} allowed)")
             failed = True
-        elif base > 0 and cur < base * (1.0 - args.max_regress):
-            print(f"NOTE {path}: improved {base} -> {cur}; consider refreshing "
-                  f"the baseline")
         else:
             print(f"ok   {path}: {cur} (baseline {base})")
     return 1 if failed else 0
