@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -34,6 +35,34 @@ inline void Row(const std::string& label, double value,
 
 inline void Note(const std::string& text) {
   std::printf("  -- %s\n", text.c_str());
+}
+
+/// How often each case runs in benches that report a spread.
+constexpr int kRepeats = 5;
+
+/// Runs every case kRepeats times, all cases once per repeat, so that a
+/// drift in machine load spreads over every case alike. `run(i)` measures
+/// case i; the result holds each case's samples in run order.
+template <typename Fn>
+auto RepeatInterleaved(size_t num_cases, Fn run) {
+  std::vector<std::vector<decltype(run(size_t{0}))>> samples(num_cases);
+  for (int r = 0; r < kRepeats; ++r) {
+    for (size_t i = 0; i < num_cases; ++i) samples[i].push_back(run(i));
+  }
+  return samples;
+}
+
+/// "median [min–max]" of the samples, each with three decimals.
+inline std::string MedianRange(std::vector<double> xs) {
+  if (xs.empty()) return "-";
+  std::sort(xs.begin(), xs.end());
+  const size_t n = xs.size();
+  const double median =
+      n % 2 == 1 ? xs[n / 2] : 0.5 * (xs[n / 2 - 1] + xs[n / 2]);
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), "%.3f [%.3f–%.3f]", median, xs.front(),
+                xs.back());
+  return buf;
 }
 
 /// Print a series as "label: v0 v1 v2 ..." (one figure line).

@@ -1,7 +1,7 @@
 // Figure 5: residual update time per DBMS profile and update method, on the
 // synthetic pilot fact table F(s, d, c1..ck) with an 8-leaf tree whose leaf
 // selectors partition the join-key domain (paper §5.3.2).
-#include <map>
+#include <functional>
 
 #include "baselines/dense_dataset.h"
 #include "baselines/histogram_gbdt.h"
@@ -16,7 +16,6 @@
 namespace jb = joinboost;
 using jb::bench::Header;
 using jb::bench::Note;
-using jb::bench::Row;
 
 namespace {
 
@@ -60,6 +59,25 @@ double MeasureUpdate(const jb::EngineProfile& profile,
   return timer.Seconds();
 }
 
+/// LightGBM reference: residual update as a parallel write to a dense array.
+double MeasureDenseUpdate(size_t rows) {
+  jb::exec::Database db(jb::EngineProfile::DSwap());
+  jb::data::PilotConfig config;
+  config.rows = rows;
+  jb::Dataset ds = jb::data::MakePilot(&db, config);
+  jb::baselines::DenseDataset dense =
+      jb::baselines::MaterializeExportLoad(ds, nullptr);
+  jb::core::TrainParams params;
+  params.boosting = "gbdt";
+  params.num_iterations = 1;
+  params.num_leaves = 8;
+  jb::ThreadPool pool(8);
+  jb::baselines::HistogramGbdt trainer(params, &pool);
+  jb::baselines::HistogramStats stats;
+  trainer.Train(dense, &stats);
+  return stats.residual_update_seconds;
+}
+
 }  // namespace
 
 int main() {
@@ -73,7 +91,7 @@ int main() {
     jb::EngineProfile profile;
     std::vector<std::string> methods;
   };
-  std::vector<ProfileCase> cases = {
+  std::vector<ProfileCase> profiles = {
       {jb::EngineProfile::XCol(), {"naive_u", "update", "create"}},
       {jb::EngineProfile::XRow(), {"naive_u", "update", "create"}},
       {jb::EngineProfile::DDisk(), {"naive_u", "update", "create"}},
@@ -82,40 +100,42 @@ int main() {
       {jb::EngineProfile::DSwap(), {"swap"}},
   };
 
-  for (auto& pc : cases) {
+  // One case per printed row; the last is the LightGBM reference.
+  struct Case {
+    std::string label;
+    std::function<double()> run;
+  };
+  std::vector<Case> cases;
+  auto add = [&](const jb::EngineProfile& profile, const std::string& label,
+                 const std::string& method, int k) {
+    cases.push_back({profile.name + " " + label, [=] {
+                       return MeasureUpdate(profile, method, k, rows);
+                     }});
+  };
+  for (const auto& pc : profiles) {
     for (const auto& method : pc.methods) {
       if (method == "create") {
         for (int k : {0, 5, 10}) {
-          double secs = MeasureUpdate(pc.profile, method, k, rows);
-          Row(pc.profile.name + " CREATE-" + std::to_string(k), secs);
+          add(pc.profile, "CREATE-" + std::to_string(k), method, k);
         }
       } else {
-        double secs = MeasureUpdate(pc.profile, method, 0, rows);
         std::string label = method == "naive_u" ? "Naive"
                             : method == "update" ? "UPDATE"
                                                  : "Col Swap";
-        Row(pc.profile.name + " " + label, secs);
+        add(pc.profile, label, method, 0);
       }
     }
   }
+  cases.push_back(
+      {"LightGBM (red line)", [=] { return MeasureDenseUpdate(rows); }});
 
-  // LightGBM reference: residual update as a parallel write to a dense array.
-  {
-    jb::exec::Database db(jb::EngineProfile::DSwap());
-    jb::data::PilotConfig config;
-    config.rows = rows;
-    jb::Dataset ds = jb::data::MakePilot(&db, config);
-    jb::baselines::DenseDataset dense =
-        jb::baselines::MaterializeExportLoad(ds, nullptr);
-    jb::core::TrainParams params;
-    params.boosting = "gbdt";
-    params.num_iterations = 1;
-    params.num_leaves = 8;
-    jb::ThreadPool pool(8);
-    jb::baselines::HistogramGbdt trainer(params, &pool);
-    jb::baselines::HistogramStats stats;
-    trainer.Train(dense, &stats);
-    Row("LightGBM (red line)", stats.residual_update_seconds);
+  auto samples = jb::bench::RepeatInterleaved(
+      cases.size(), [&](size_t i) { return cases[i].run(); });
+  for (size_t i = 0; i < cases.size(); ++i) {
+    std::printf("  %-40s %s s\n", cases[i].label.c_str(),
+                jb::bench::MedianRange(samples[i]).c_str());
   }
+  Note("median [min–max] of " + std::to_string(jb::bench::kRepeats) +
+       " interleaved repeats");
   return 0;
 }

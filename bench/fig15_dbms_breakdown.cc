@@ -1,5 +1,7 @@
 // Figure 15: train vs residual-update time for one boosting iteration on
 // Favorita across engine profiles, including the simulated X-Swap*.
+#include <array>
+
 #include "bench_util.h"
 #include "data/generators.h"
 #include "joinboost.h"
@@ -33,9 +35,9 @@ int main() {
       {jb::EngineProfile::DSwap(), "swap"},
   };
 
-  std::printf("  %-10s %10s %10s %10s\n", "profile", "train(s)", "update(s)",
-              "total(s)");
-  for (const auto& c : cases) {
+  // One sample = (train, update, total) seconds of one case.
+  auto samples = jb::bench::RepeatInterleaved(cases.size(), [&](size_t i) {
+    const Case& c = cases[i];
     jb::exec::Database db(c.profile);
     jb::Dataset ds = jb::data::MakeFavorita(&db, config);
     // DP stores the fact table as a dataframe: re-register it uncompressed.
@@ -53,9 +55,24 @@ int main() {
     jb::Timer t;
     jb::TrainResult res = jb::Train(params, ds);
     double total = t.Seconds();
-    std::printf("  %-10s %10.3f %10.3f %10.3f\n", c.profile.name.c_str(),
-                total - res.update_seconds, res.update_seconds, total);
+    return std::array<double, 3>{total - res.update_seconds,
+                                 res.update_seconds, total};
+  });
+
+  // MedianRange's en dash takes 3 bytes for 1 column, hence 20 vs 22.
+  std::printf("  %-10s %-20s %-20s %-20s\n", "profile", "train(s)",
+              "update(s)", "total(s)");
+  for (size_t i = 0; i < cases.size(); ++i) {
+    std::printf("  %-10s", cases[i].profile.name.c_str());
+    for (size_t part = 0; part < 3; ++part) {
+      std::vector<double> xs;
+      for (const auto& sample : samples[i]) xs.push_back(sample[part]);
+      std::printf(" %-22s", jb::bench::MedianRange(xs).c_str());
+    }
+    std::printf("\n");
   }
+  Note("median [min–max] of " + std::to_string(jb::bench::kRepeats) +
+       " interleaved repeats");
   Note("X-Swap* = X-col with the simulated column swap of §5.4");
   return 0;
 }

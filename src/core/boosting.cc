@@ -144,23 +144,18 @@ void GradientBoosting::UpdateResidualSemiring(Session& session,
     leaves.push_back(std::move(u));
   }
 
+  // (1,s,q) ⊗ lift(−p) = (1, s−p, q + p² − 2·p·s)  [§5.3.1]
   auto s_then = [](const LeafUpdate& l) {
-    return "s - " + DoubleLiteral(l.delta);
+    return semiring::VarianceSqlGen::UpdateS("s", "", l.delta);
   };
   auto q_then = [](const LeafUpdate& l) {
-    // (1,s,q) ⊗ lift(−p) = (1, s−p, q + p² − 2·p·s)  [§5.3.1]
-    return "q + " + DoubleLiteral(l.delta * l.delta) + " - " +
-           DoubleLiteral(2.0 * l.delta) + " * s";
+    return semiring::VarianceSqlGen::UpdateQ("q", "s", "", l.delta);
   };
 
   if (strategy == "update") {
     for (const auto& l : leaves) {
-      std::string sql =
-          "UPDATE " + fact + " SET s = s - " + DoubleLiteral(l.delta);
-      if (params_.track_q) {
-        sql += ", q = q + " + DoubleLiteral(l.delta * l.delta) + " - " +
-               DoubleLiteral(2.0 * l.delta) + " * s";
-      }
+      std::string sql = "UPDATE " + fact + " SET s = " + s_then(l);
+      if (params_.track_q) sql += ", q = " + q_then(l);
       if (!l.cond.empty()) sql += " WHERE " + l.cond;
       db.Execute(sql, "update");
     }

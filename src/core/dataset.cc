@@ -35,17 +35,6 @@ void Dataset::AddJoin(const std::string& t1, const std::string& t2,
   prepared_ = false;
 }
 
-void Dataset::SetRowId(const std::string& table, const std::string& column) {
-  int rel = graph_.RelationIndex(table);
-  JB_CHECK_MSG(rel >= 0, "unknown table " << table);
-  row_ids_[rel] = column;
-}
-
-std::string Dataset::RowIdColumn(int rel) const {
-  auto it = row_ids_.find(rel);
-  return it == row_ids_.end() ? "" : it->second;
-}
-
 void Dataset::Prepare() {
   if (prepared_) return;
   JB_CHECK_MSG(graph_.num_relations() > 0, "empty dataset");

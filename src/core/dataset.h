@@ -1,6 +1,5 @@
 #pragma once
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -24,10 +23,6 @@ class Dataset {
   void AddJoin(const std::string& t1, const std::string& t2,
                std::vector<std::string> keys);
 
-  /// Optional: a unique row-id column of `table`, used for random-forest
-  /// fact sampling. When absent, a row id is synthesized during lifting.
-  void SetRowId(const std::string& table, const std::string& column);
-
   /// Validate tables/columns, measure cardinalities and edge-key uniqueness
   /// (drives N-to-1 detection, identity messages and CPT clusters). Called
   /// automatically by Train(); idempotent. Throws JbError when a target
@@ -39,13 +34,9 @@ class Dataset {
   graph::JoinGraph& graph() { return graph_; }
   const graph::JoinGraph& graph() const { return graph_; }
 
-  /// Row-id column declared for relation `rel`, or "" when none.
-  std::string RowIdColumn(int rel) const;
-
  private:
   exec::Database* db_;
   graph::JoinGraph graph_;
-  std::map<int, std::string> row_ids_;
   bool prepared_ = false;
 };
 

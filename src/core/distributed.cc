@@ -6,7 +6,6 @@
 
 #include "core/boosting.h"
 #include "factor/message_passing.h"
-#include "semiring/sql_gen.h"
 #include "sql/printer.h"
 #include "util/check.h"
 #include "util/threadpool.h"
@@ -157,6 +156,7 @@ DistributedResult DistributedTrainer::Train(const TrainParams& params) {
 
   struct Leaf {
     int node;
+    int depth = 0;
     factor::PredicateSet preds;
     double c, s;
     bool has_best = false;
@@ -277,6 +277,7 @@ DistributedResult DistributedTrainer::Train(const TrainParams& params) {
       Leaf left, right;
       left.node = li;
       right.node = ri;
+      left.depth = right.depth = leaf.depth + 1;
       left.preds = leaf.preds;
       left.preds.Add(leaf.best_rel,
                      leaf.best_feature + " <= " +
@@ -290,7 +291,9 @@ DistributedResult DistributedTrainer::Train(const TrainParams& params) {
       right.c = leaf.c - left.c;
       right.s = leaf.s - left.s;
       ++num_leaves;
-      if (num_leaves < params.num_leaves) {
+      // As in TreeGrower::Grow, a leaf at max_depth is never split.
+      if (num_leaves < params.num_leaves &&
+          (params.max_depth < 0 || left.depth < params.max_depth)) {
         find_best(left);
         find_best(right);
       }

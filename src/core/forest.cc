@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <mutex>
 
-#include "semiring/sql_gen.h"
 #include "util/check.h"
 #include "util/rng.h"
 

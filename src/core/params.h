@@ -58,7 +58,8 @@ struct TrainParams {
   std::string variant = "factorized";
 
   /// Track the q component (exact variance reporting; the criterion only
-  /// needs c and s — §5.3.1).
+  /// needs c and s — §5.3.1). Only rmse's variance semi-ring has q: other
+  /// objectives train over the (h, g) gradient semi-ring and ignore it.
   bool track_q = false;
 
   /// Histogram binning (Appendix D.3): the number of feature bins. Only

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <sstream>
 
-#include "semiring/sql_gen.h"
 #include "sql/printer.h"
 #include "util/check.h"
 
@@ -46,16 +45,12 @@ void Session::SetFactTable(int rel, const std::string& name) {
   Rebind(rel, name);
 }
 
-const std::string& Session::RowId(int rel) const {
-  return row_ids_.at(static_cast<size_t>(rel));
-}
-
 std::unique_ptr<factor::Factorizer> Session::MakeFactorizer(
     int rel_override, const std::string& table_override,
     const std::string& temp_prefix) {
   factor::FactorizerOptions fopts;
   fopts.cache_messages = params_.variant != "batch";
-  fopts.track_q = params_.track_q;
+  fopts.track_q = params_.track_q && residual_semiring_;
   fopts.temp_prefix = temp_prefix;
   auto out = std::make_unique<factor::Factorizer>(data_->db(), &data_->graph(),
                                                   fopts);
@@ -152,7 +147,6 @@ void Session::LiftFact(int rel, bool with_y) {
   }
   db.Execute(sql.str(), "lift");
   fact_tables_[static_cast<size_t>(rel)] = lifted;
-  row_ids_[static_cast<size_t>(rel)] = "jb_rid";
 }
 
 void Session::Prepare() {
@@ -178,7 +172,6 @@ void Session::Prepare() {
   }
 
   fact_tables_.assign(g.num_relations(), "");
-  row_ids_.assign(g.num_relations(), "");
 
   // Base score from the factorized mean of Y over R⋈ (for boosting only).
   const bool boosted = params_.boosting == "gbdt";
@@ -220,7 +213,7 @@ void Session::Prepare() {
   // Bind the factorizer.
   factor::FactorizerOptions fopts;
   fopts.cache_messages = params_.variant != "batch";
-  fopts.track_q = params_.track_q;
+  fopts.track_q = params_.track_q && residual_semiring_;
   fopts.temp_prefix = prefix_ + "msg_";
   fac_ = std::make_unique<factor::Factorizer>(&db, &g, fopts);
   for (size_t r = 0; r < g.num_relations(); ++r) {

@@ -50,8 +50,6 @@ class Session {
   /// CREATE-TABLE update strategy can retarget it).
   const std::string& FactTable(int rel) const;
   void SetFactTable(int rel, const std::string& name);
-  /// Synthesized (or user-declared) row-id column of a lifted fact.
-  const std::string& RowId(int rel) const;
 
   /// Rebind `rel` to a different physical table (sampling / create-update).
   void Rebind(int rel, const std::string& table);
@@ -84,7 +82,6 @@ class Session {
   std::vector<int> clusters_;
   std::vector<int> cluster_facts_;
   std::vector<std::string> fact_tables_;  ///< per relation; "" if not a fact
-  std::vector<std::string> row_ids_;
   std::string prefix_;
   uint64_t temp_counter_ = 0;
 };

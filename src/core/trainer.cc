@@ -5,7 +5,6 @@
 #include <map>
 #include <unordered_set>
 
-#include "semiring/sql_gen.h"
 #include "sql/printer.h"
 #include "util/check.h"
 

@@ -6,6 +6,7 @@
 #include "core/evaluate.h"
 #include "core/trainer.h"
 #include "factor/message_passing.h"
+#include "semiring/sql_gen.h"
 #include "sql/printer.h"
 #include "util/check.h"
 #include "util/timer.h"
@@ -77,7 +78,9 @@ CuboidResult TrainCuboidGbdt(Dataset& dataset,
   out.cuboid_rows = db.catalog().Get(cuboid)->num_rows();
 
   // Base score = global mean; shift annotations to residual space:
-  // Σ lift(y − base) = (c, s − base·c, q − 2·base·s + base²·c).
+  // Σ lift(y − base) = (c, s − base·c, q − 2·base·s + base²·c). This keeps
+  // its own term order: VarianceSqlGen::UpdateQ's (q + base²·c − 2·base·s)
+  // rounds differently.
   auto tot = db.Query("SELECT SUM(c) AS c, SUM(s) AS s FROM " + cuboid,
                       "cuboid");
   double total_c = tot->GetValue(0, 0).AsDouble();
@@ -137,10 +140,10 @@ CuboidResult TrainCuboidGbdt(Dataset& dataset,
           cond += "(" + p + ")";
         }
       }
-      std::string sql = "UPDATE " + cuboid + " SET s = s - " +
-                        DoubleLiteral(delta) + " * c, q = q + " +
-                        DoubleLiteral(delta * delta) + " * c - " +
-                        DoubleLiteral(2 * delta) + " * s";
+      std::string sql =
+          "UPDATE " + cuboid +
+          " SET s = " + semiring::VarianceSqlGen::UpdateS("s", "c", delta) +
+          ", q = " + semiring::VarianceSqlGen::UpdateQ("q", "s", "c", delta);
       if (!cond.empty()) sql += " WHERE " + cond;
       db.Execute(sql, "update");
     }

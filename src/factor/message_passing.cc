@@ -9,6 +9,8 @@
 namespace joinboost {
 namespace factor {
 
+using semiring::VarianceSqlGen;
+
 namespace {
 
 std::string JoinKeysCondition(const std::string& left_alias,
@@ -56,6 +58,24 @@ std::string SumColumns(size_t num_sums) {
   std::string out = kNames[0];
   for (size_t i = 1; i < num_sums; ++i) out += std::string(", ") + kNames[i];
   return out;
+}
+
+/// ⊗-operand of a base relation: its count column only if it has one, its
+/// s and q columns only if it is annotated.
+semiring::SqlOperand RelationOperand(const RelationBinding& b) {
+  semiring::SqlOperand op;
+  op.alias = b.table;
+  if (b.has_c) op.c_col = b.c_col;
+  if (b.annotated) {
+    op.s_col = b.s_col;
+    op.q_col = b.q_col;
+  }
+  return op;
+}
+
+/// ⊗-operand of a full message: c, plus s and q when it carries them.
+semiring::SqlOperand MessageOperand(const Message& m) {
+  return {m.table, "c", m.has_s ? "s" : "", m.has_q ? "q" : ""};
 }
 
 }  // namespace
@@ -334,88 +354,12 @@ Message Factorizer::PlanMessage(int from, int to, const PredicateSet& preds,
   }
 
   // ⊗-product operands: this relation + full children.
-  std::vector<semiring::SqlOperand> ops;
-  {
-    semiring::SqlOperand op;
-    op.alias = tbl;
-    op.has_annotation = bind.annotated || bind.has_c;
-    op.c_col = bind.has_c ? bind.c_col : "";
-    op.s_col = bind.s_col;
-    op.q_col = options_.track_q ? bind.q_col : "";
-    if (bind.annotated && !bind.has_c) {
-      // Annotated with implicit count 1: c-part contributes nothing to the
-      // product, handled by leaving c_col empty — but MulC needs *some*
-      // count. Use literal handled below via c_exprs.
-    }
-    ops.push_back(op);
-  }
-  for (const auto& child : full_children) {
-    semiring::SqlOperand op;
-    op.alias = child.table;
-    op.has_annotation = true;
-    op.c_col = "c";
-    op.s_col = child.has_s ? "s" : "";
-    op.q_col = child.has_q ? "q" : "";
-    ops.push_back(op);
-  }
+  std::vector<semiring::SqlOperand> ops = {RelationOperand(bind)};
+  for (const auto& child : full_children) ops.push_back(MessageOperand(child));
 
   bool has_s = false;
   for (int r : rels) has_s |= bindings_[static_cast<size_t>(r)].annotated;
   bool has_q = has_s && options_.track_q;
-
-  // Build product expressions. We assemble them manually to honour implicit
-  // components (missing c => 1, missing s => 0).
-  auto c_product = [&](int skip1, int skip2) -> std::string {
-    std::string out;
-    for (size_t i = 0; i < ops.size(); ++i) {
-      if (static_cast<int>(i) == skip1 || static_cast<int>(i) == skip2) continue;
-      if (!ops[i].has_annotation || ops[i].c_col.empty()) continue;
-      if (!out.empty()) out += " * ";
-      out += ops[i].C();
-    }
-    return out;
-  };
-  std::string c_expr = c_product(-1, -1);
-  if (c_expr.empty()) c_expr = "1";
-
-  std::string s_expr;
-  for (size_t i = 0; i < ops.size(); ++i) {
-    if (!ops[i].has_annotation || ops[i].s_col.empty()) continue;
-    // The relation's own s column only exists if it is annotated.
-    if (i == 0 && !bind.annotated) continue;
-    std::string term = ops[i].S();
-    std::string rest = c_product(static_cast<int>(i), -1);
-    if (!rest.empty()) term += " * " + rest;
-    if (!s_expr.empty()) s_expr += " + ";
-    s_expr += term;
-  }
-  if (s_expr.empty()) s_expr = "0";
-
-  std::string q_expr;
-  if (has_q) {
-    for (size_t i = 0; i < ops.size(); ++i) {
-      if (!ops[i].has_annotation || ops[i].q_col.empty()) continue;
-      if (i == 0 && !bind.annotated) continue;
-      std::string term = ops[i].Q();
-      std::string rest = c_product(static_cast<int>(i), -1);
-      if (!rest.empty()) term += " * " + rest;
-      if (!q_expr.empty()) q_expr += " + ";
-      q_expr += term;
-    }
-    for (size_t i = 0; i < ops.size(); ++i) {
-      if (!ops[i].has_annotation || ops[i].s_col.empty()) continue;
-      if (i == 0 && !bind.annotated) continue;
-      for (size_t j = i + 1; j < ops.size(); ++j) {
-        if (!ops[j].has_annotation || ops[j].s_col.empty()) continue;
-        std::string term = "2 * " + ops[i].S() + " * " + ops[j].S();
-        std::string rest = c_product(static_cast<int>(i), static_cast<int>(j));
-        if (!rest.empty()) term += " * " + rest;
-        if (!q_expr.empty()) q_expr += " + ";
-        q_expr += term;
-      }
-    }
-    if (q_expr.empty()) q_expr = "0";
-  }
 
   PendingMessage pending;
   pending.source = tbl;
@@ -433,9 +377,13 @@ Message Factorizer::PlanMessage(int from, int to, const PredicateSet& preds,
   const auto* own = preds.For(from);
   if (own && !own->empty()) input << " WHERE " << ConjunctionSql(*own);
   pending.input = input.str();
-  pending.sums.push_back("SUM(" + c_expr + ") AS c");
-  if (has_s) pending.sums.push_back("SUM(" + s_expr + ") AS s");
-  if (has_q) pending.sums.push_back("SUM(" + q_expr + ") AS q");
+  pending.sums.push_back("SUM(" + VarianceSqlGen::MulC(ops) + ") AS c");
+  if (has_s) {
+    pending.sums.push_back("SUM(" + VarianceSqlGen::MulS(ops) + ") AS s");
+  }
+  if (has_q) {
+    pending.sums.push_back("SUM(" + VarianceSqlGen::MulQ(ops) + ") AS q");
+  }
 
   Message msg;
   msg.kind = Message::Kind::kFull;
@@ -632,14 +580,15 @@ Factorizer::AbsorptionParts Factorizer::Absorption(
   const RelationBinding& bind = binding(root);
   const std::string& tbl = bind.table;
 
-  std::vector<const Message*> full;
+  // ⊗-product operands: the root + full messages.
+  std::vector<semiring::SqlOperand> ops = {RelationOperand(bind)};
   std::ostringstream from;
   from << "FROM " << tbl;
   for (const auto& m : msgs) {
     if (m.kind == Message::Kind::kFull) {
       from << " JOIN " << m.table << " ON "
            << JoinKeysCondition(tbl, m.table, m.keys);
-      full.push_back(&m);
+      ops.push_back(MessageOperand(m));
     } else {
       from << " SEMI JOIN " << m.table << " ON "
            << JoinKeysCondition(tbl, m.table, m.keys);
@@ -648,84 +597,11 @@ Factorizer::AbsorptionParts Factorizer::Absorption(
   const auto* own = preds.For(root);
   if (own && !own->empty()) from << " WHERE " << ConjunctionSql(*own);
 
-  // Product expressions across root + full messages.
-  auto c_product = [&](int skip) -> std::string {
-    std::string out;
-    if (bind.has_c && skip != 0) out += tbl + "." + bind.c_col;
-    for (size_t i = 0; i < full.size(); ++i) {
-      if (static_cast<int>(i) + 1 == skip) continue;
-      if (!out.empty()) out += " * ";
-      out += full[i]->table + ".c";
-    }
-    return out;
-  };
   AbsorptionParts parts;
   parts.from_where = from.str();
-  parts.c_expr = c_product(-1);
-  if (parts.c_expr.empty()) parts.c_expr = "1";
-
-  std::string s_expr;
-  if (bind.annotated) {
-    std::string term = tbl + "." + bind.s_col;
-    std::string rest = c_product(0);
-    if (!rest.empty()) term += " * " + rest;
-    s_expr = term;
-  }
-  for (size_t i = 0; i < full.size(); ++i) {
-    if (!full[i]->has_s) continue;
-    std::string term = full[i]->table + ".s";
-    std::string rest = c_product(static_cast<int>(i) + 1);
-    if (!rest.empty()) term += " * " + rest;
-    if (!s_expr.empty()) s_expr += " + ";
-    s_expr += term;
-  }
-  parts.s_expr = s_expr.empty() ? "0" : s_expr;
-
-  if (options_.track_q) {
-    // q = Σ qᵢ·Πc + 2·Σ sᵢsⱼ·Πc  over annotated operands.
-    struct Op {
-      std::string s, q;
-      int idx;
-    };
-    std::vector<Op> annotated;
-    if (bind.annotated) {
-      annotated.push_back({tbl + "." + bind.s_col, tbl + "." + bind.q_col, 0});
-    }
-    for (size_t i = 0; i < full.size(); ++i) {
-      if (full[i]->has_q) {
-        annotated.push_back({full[i]->table + ".s", full[i]->table + ".q",
-                             static_cast<int>(i) + 1});
-      }
-    }
-    std::string q_expr;
-    for (const auto& op : annotated) {
-      std::string term = op.q;
-      std::string rest = c_product(op.idx);
-      if (!rest.empty()) term += " * " + rest;
-      if (!q_expr.empty()) q_expr += " + ";
-      q_expr += term;
-    }
-    for (size_t i = 0; i < annotated.size(); ++i) {
-      for (size_t j = i + 1; j < annotated.size(); ++j) {
-        // Π of counts excluding both operands: build manually.
-        std::string rest;
-        if (bind.has_c && annotated[i].idx != 0 && annotated[j].idx != 0) {
-          rest += tbl + "." + bind.c_col;
-        }
-        for (size_t k = 0; k < full.size(); ++k) {
-          int idx = static_cast<int>(k) + 1;
-          if (idx == annotated[i].idx || idx == annotated[j].idx) continue;
-          if (!rest.empty()) rest += " * ";
-          rest += full[k]->table + ".c";
-        }
-        std::string term = "2 * " + annotated[i].s + " * " + annotated[j].s;
-        if (!rest.empty()) term += " * " + rest;
-        if (!q_expr.empty()) q_expr += " + ";
-        q_expr += term;
-      }
-    }
-    parts.q_expr = q_expr.empty() ? "0" : q_expr;
-  }
+  parts.c_expr = VarianceSqlGen::MulC(ops);
+  parts.s_expr = VarianceSqlGen::MulS(ops);
+  if (options_.track_q) parts.q_expr = VarianceSqlGen::MulQ(ops);
   return parts;
 }
 
@@ -765,7 +641,7 @@ LeafHistograms Factorizer::BatchedHistograms(
     for (const auto& h : hists) {
       out.sql.push_back(!h.sql.empty()
                             ? h.sql
-                            : semiring::VarianceSqlGen::HistogramQuery(
+                            : VarianceSqlGen::HistogramQuery(
                                   *h.attrs, h.parts.from_where,
                                   h.parts.c_expr, h.parts.s_expr));
     }

@@ -101,6 +101,49 @@ TEST(DistributedTest, MatchesSingleNodeModel) {
   }
 }
 
+TEST(DistributedTest, HonoursMaxDepth) {
+  // With max_depth = 2 the single-node trainer stops at two levels of splits
+  // even though num_leaves allows more; the distributed trees must too.
+  exec::Database db(EngineProfile::DSwap());
+  data::TpcdsConfig config;
+  config.scale_factor = 0.2;
+  config.base_fact_rows = 20000;
+  config.num_features = 10;
+  Dataset ds = data::MakeTpcds(&db, config);
+
+  core::TrainParams params;
+  params.boosting = "gbdt";
+  params.num_iterations = 2;
+  params.num_leaves = 8;
+  params.max_depth = 2;
+  params.learning_rate = 0.3;
+
+  TrainResult single = Train(params, ds);
+
+  core::DistributedConfig dconf;
+  dconf.num_workers = 3;
+  dconf.network_latency_s = 0;
+  core::DistributedTrainer trainer(ds, dconf);
+  core::DistributedResult dist = trainer.Train(params);
+
+  ASSERT_EQ(single.model.trees.size(), dist.model.trees.size());
+  for (size_t t = 0; t < single.model.trees.size(); ++t) {
+    const auto& a = single.model.trees[t];
+    const auto& b = dist.model.trees[t];
+    EXPECT_LE(a.MaxDepth(), 3u) << "tree " << t;  // root + two split levels
+    ASSERT_EQ(a.nodes.size(), b.nodes.size()) << "tree " << t;
+    for (size_t n = 0; n < a.nodes.size(); ++n) {
+      EXPECT_EQ(a.nodes[n].feature, b.nodes[n].feature)
+          << "tree " << t << " node " << n;
+      if (!a.nodes[n].is_leaf) {
+        EXPECT_NEAR(a.nodes[n].threshold, b.nodes[n].threshold, 1e-9);
+      } else {
+        EXPECT_NEAR(a.nodes[n].prediction, b.nodes[n].prediction, 1e-7);
+      }
+    }
+  }
+}
+
 TEST(DistributedTest, ShuffleCostGrowsWithWorkers) {
   exec::Database db(EngineProfile::DSwap());
   data::TpcdsConfig config;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <regex>
 #include <set>
 
 #include "baselines/dense_dataset.h"
@@ -44,6 +45,35 @@ TEST(FavoritaIntegrationTest, GbdtMatchesHistogramBaselineRmse) {
   // And both must actually learn something.
   double rmse_base = eval.RmseCurve(jb.model)[0];
   EXPECT_LT(rmse_jb, 0.9 * rmse_base);
+}
+
+// track_q asks for the variance semi-ring's q component. A non-rmse
+// objective trains over the (h, g) gradient semi-ring, which has none, so
+// the flag must change neither the statements nor the model.
+TEST(FavoritaIntegrationTest, TrackQLeavesGradientObjectiveUnchanged) {
+  const std::regex session_prefix("jb[0-9]+_");
+  for (const std::string strategy : {"update", "create", "swap", "naive_u"}) {
+    std::string model[2];
+    std::vector<std::string> log[2];
+    for (int q = 0; q < 2; ++q) {
+      exec::Database db(EngineProfile::DSwap());
+      Dataset ds = data::MakeFavorita(&db, TinyFavorita());
+      db.ClearQueryLog();
+      core::TrainParams params;
+      params.objective = "huber";
+      params.num_iterations = 2;
+      params.num_leaves = 4;
+      params.update_strategy = strategy;
+      params.track_q = q == 1;
+      model[q] = Train(params, ds).model.ToString();
+      // Session names carry a process-wide counter: jb<N>_ -> jb_.
+      for (const auto& e : db.QueryLog()) {
+        log[q].push_back(std::regex_replace(e.sql, session_prefix, "jb_"));
+      }
+    }
+    EXPECT_EQ(model[0], model[1]) << strategy;
+    EXPECT_EQ(log[0], log[1]) << strategy;
+  }
 }
 
 TEST(FavoritaIntegrationTest, RandomForestLearnsAndParallelMatches) {

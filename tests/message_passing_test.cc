@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <regex>
 
 #include "core/evaluate.h"
 #include "core/session.h"
@@ -251,6 +253,56 @@ TEST(MessagePassingTest, MissingKeysForceFullMessage) {
       session.fac().TotalAggregate(session.y_fact(), none, "test");
   EXPECT_NEAR(tot.c, 2.0, 1e-9);  // the k=2 fact row does not join
   EXPECT_NEAR(tot.s, 3.0, 1e-9);
+}
+
+// Golden statements of a tiny rmse + track_q train: one message carrying
+// (c, s, q) out of the fact, and the root absorption. Both multiply the
+// fact's implicit count 1 with a count-only message from a dimension that
+// lacks a key.
+TEST(MessagePassingTest, TrackQMessageAndAbsorptionSqlAreGolden) {
+  exec::Database db;
+  db.RegisterTable(TableBuilder("fact")
+                       .AddInts("k1", {1, 1, 2, 3, 3, 2})
+                       .AddInts("k2", {1, 2, 1, 2, 1, 2})
+                       .AddDoubles("x", {1, 2, 3, 4, 5, 6})
+                       .AddDoubles("y", {1.0, 2.0, 4.0, 8.0, 3.0, 5.0})
+                       .Build());
+  db.RegisterTable(
+      TableBuilder("d1").AddInts("k1", {1, 2}).AddDoubles("f1", {5, 6}).Build());
+  db.RegisterTable(
+      TableBuilder("d2").AddInts("k2", {1, 2}).AddDoubles("f2", {7, 8}).Build());
+  Dataset ds(&db);
+  ds.AddTable("fact", {"x"}, "y");
+  ds.AddTable("d1", {"f1"});
+  ds.AddTable("d2", {"f2"});
+  ds.AddJoin("fact", "d1", {"k1"});
+  ds.AddJoin("fact", "d2", {"k2"});
+
+  core::TrainParams params;
+  params.boosting = "gbdt";
+  params.num_iterations = 1;
+  params.num_leaves = 2;
+  params.track_q = true;
+  Train(params, ds);
+
+  // Session names carry a process-wide counter: jb<N>_ -> jb_.
+  const std::regex session_prefix("jb[0-9]+_");
+  std::vector<std::string> log;
+  for (const auto& e : db.QueryLog()) {
+    log.push_back(std::regex_replace(e.sql, session_prefix, "jb_"));
+  }
+  const std::string message =
+      "CREATE TABLE jb_msg_2 AS SELECT jb_lift_fact.k2, SUM(jb_msg_0.c) AS c, "
+      "SUM(jb_lift_fact.s * jb_msg_0.c) AS s, "
+      "SUM(jb_lift_fact.q * jb_msg_0.c) AS q FROM jb_lift_fact "
+      "JOIN jb_msg_0 ON jb_lift_fact.k1 = jb_msg_0.k1 GROUP BY jb_lift_fact.k2";
+  const std::string absorption =
+      "SELECT SUM(jb_msg_0.c) AS c, SUM(jb_lift_fact.s * jb_msg_0.c) AS s, "
+      "SUM(jb_lift_fact.q * jb_msg_0.c) AS q FROM jb_lift_fact "
+      "JOIN jb_msg_0 ON jb_lift_fact.k1 = jb_msg_0.k1";
+  EXPECT_NE(std::find(log.begin(), log.end(), message), log.end()) << message;
+  EXPECT_NE(std::find(log.begin(), log.end(), absorption), log.end())
+      << absorption;
 }
 
 // ---------------------------------------------------------------------------

@@ -117,9 +117,9 @@ TEST(SemiringTest, GradientGainRegularization) {
 }
 
 TEST(SemiringSqlGenTest, ProductExpressions) {
-  SqlOperand r{"r", true, "c", "s", "q"};
-  SqlOperand m{"m", true, "c", "s", "q"};
-  SqlOperand identity{"t", false, "c", "s", "q"};
+  SqlOperand r{"r", "c", "s", "q"};
+  SqlOperand m{"m", "c", "s", "q"};
+  SqlOperand identity{"t", "", "", ""};
   EXPECT_EQ(VarianceSqlGen::MulC({r, m}), "r.c * m.c");
   EXPECT_EQ(VarianceSqlGen::MulS({r, m}), "r.s * m.c + m.s * r.c");
   EXPECT_EQ(VarianceSqlGen::MulQ({r, m}),
@@ -131,14 +131,75 @@ TEST(SemiringSqlGenTest, ProductExpressions) {
 }
 
 TEST(SemiringSqlGenTest, ThreeOperandQuadratic) {
-  SqlOperand a{"a", true, "c", "s", "q"};
-  SqlOperand b{"b", true, "c", "s", "q"};
-  SqlOperand c{"c3", true, "c", "s", "q"};
+  SqlOperand a{"a", "c", "s", "q"};
+  SqlOperand b{"b", "c", "s", "q"};
+  SqlOperand c{"c3", "c", "s", "q"};
   std::string q = VarianceSqlGen::MulQ({a, b, c});
   // Three q-terms and three cross s-terms.
   EXPECT_NE(q.find("a.q * b.c * c3.c"), std::string::npos);
   EXPECT_NE(q.find("2 * a.s * b.s * c3.c"), std::string::npos);
   EXPECT_NE(q.find("2 * b.s * c3.s * a.c"), std::string::npos);
+}
+
+// The operand shapes the Factorizer builds. Each expected string is the SQL
+// its message and absorption queries emit for that shape.
+TEST(SemiringSqlGenTest, FactWithoutCountColumnTimesMessage) {
+  SqlOperand f{"f", "", "s", "q"};  // implicit count 1
+  SqlOperand m{"m", "c", "s", "q"};
+  EXPECT_EQ(VarianceSqlGen::MulC({f, m}), "m.c");
+  EXPECT_EQ(VarianceSqlGen::MulS({f, m}), "f.s * m.c + m.s");
+  EXPECT_EQ(VarianceSqlGen::MulQ({f, m}), "f.q * m.c + m.q + 2 * f.s * m.s");
+  // A message without s (every relation below it unannotated) keeps only
+  // its count.
+  SqlOperand count_only{"d", "c", "", ""};
+  EXPECT_EQ(VarianceSqlGen::MulC({f, count_only, m}), "d.c * m.c");
+  EXPECT_EQ(VarianceSqlGen::MulS({f, count_only, m}),
+            "f.s * d.c * m.c + m.s * d.c");
+  EXPECT_EQ(VarianceSqlGen::MulQ({f, count_only, m}),
+            "f.q * d.c * m.c + m.q * d.c + 2 * f.s * m.s * d.c");
+}
+
+TEST(SemiringSqlGenTest, GradientFactCountsWithHessian) {
+  SqlOperand f{"f", "h", "g", ""};
+  SqlOperand d1{"d1", "c", "", ""};
+  SqlOperand d2{"d2", "c", "", ""};
+  EXPECT_EQ(VarianceSqlGen::MulC({f, d1, d2}), "f.h * d1.c * d2.c");
+  EXPECT_EQ(VarianceSqlGen::MulS({f, d1, d2}), "f.g * d1.c * d2.c");
+  SqlOperand m{"m", "c", "s", ""};
+  EXPECT_EQ(VarianceSqlGen::MulS({f, m}), "f.g * m.c + m.s * f.h");
+}
+
+TEST(SemiringSqlGenTest, UnannotatedRelationLeavesMessageTerms) {
+  SqlOperand r{"r", "", "", ""};
+  SqlOperand m{"m", "c", "s", "q"};
+  SqlOperand d{"d", "c", "", ""};
+  EXPECT_EQ(VarianceSqlGen::MulC({r, m}), "m.c");
+  EXPECT_EQ(VarianceSqlGen::MulS({r, m}), "m.s");
+  EXPECT_EQ(VarianceSqlGen::MulQ({r, m}), "m.q");
+  EXPECT_EQ(VarianceSqlGen::MulC({r, m, d}), "m.c * d.c");
+  EXPECT_EQ(VarianceSqlGen::MulS({r, m, d}), "m.s * d.c");
+  EXPECT_EQ(VarianceSqlGen::MulQ({r, m, d}), "m.q * d.c");
+  EXPECT_EQ(VarianceSqlGen::MulC({r}), "1");
+  EXPECT_EQ(VarianceSqlGen::MulS({r, d}), "0");
+  EXPECT_EQ(VarianceSqlGen::MulQ({r, d}), "0");
+}
+
+TEST(SemiringSqlGenTest, QuadraticNeedsQWhereverSIs) {
+  SqlOperand f{"f", "", "s", ""};
+  EXPECT_THROW(VarianceSqlGen::MulQ({f}), JbError);
+}
+
+TEST(SemiringSqlGenTest, ResidualUpdateWithAndWithoutCount) {
+  // Unit count (a lifted fact): (1,s,q) ⊗ lift(−p).
+  EXPECT_EQ(VarianceSqlGen::UpdateS("s", "", 0.5), "s - 0.5");
+  EXPECT_EQ(VarianceSqlGen::UpdateQ("q", "s", "", 0.5), "q + 0.25 - 1.0 * s");
+  EXPECT_EQ(VarianceSqlGen::UpdateS("s", "", -0.5), "s - (-0.5)");
+  EXPECT_EQ(VarianceSqlGen::UpdateQ("q", "s", "", -0.5),
+            "q + 0.25 - (-1.0) * s");
+  // Weighted count (a cuboid row): (c,s,q) ⊗ lift(−p).
+  EXPECT_EQ(VarianceSqlGen::UpdateS("s", "c", 0.5), "s - 0.5 * c");
+  EXPECT_EQ(VarianceSqlGen::UpdateQ("q", "s", "c", 0.5),
+            "q + 0.25 * c - 1.0 * s");
 }
 
 class ObjectiveTest : public ::testing::TestWithParam<std::string> {};
