@@ -33,7 +33,6 @@ GradientBoosting::GradientBoosting(Session* session, TrainParams params)
 std::string GradientBoosting::LeafConditionSql(
     Session& session, int fact_rel, const factor::PredicateSet& preds) {
   const graph::JoinGraph& g = session.graph();
-  const std::string& fact = session.FactTable(fact_rel);
   std::vector<std::string> parts;
 
   // Direct predicates on the fact itself.
@@ -41,38 +40,21 @@ std::string GradientBoosting::LeafConditionSql(
     for (const auto& p : *own) parts.push_back("(" + p + ")");
   }
 
-  // Semi-join selectors from predicated dimension subtrees (§5.3.1).
-  std::vector<const factor::Message*> composite;
-  std::vector<factor::Message> messages;
+  // Semi-join selectors from predicated dimension subtrees (§5.3.1): a
+  // composite-key selector is a row-value IN over its message's keys.
   for (auto [n, e] : g.Neighbors(fact_rel)) {
     (void)e;
     factor::Message sel =
         session.fac().GetSelector(n, fact_rel, preds, "update");
     if (sel.kind == factor::Message::Kind::kNone) continue;
-    messages.push_back(std::move(sel));
-  }
-  std::ostringstream rid_sql;
-  bool has_composite = false;
-  for (const auto& sel : messages) {
-    if (sel.keys.size() == 1) {
-      parts.push_back(sel.keys[0] + " IN (SELECT " + sel.keys[0] + " FROM " +
-                      sel.table + ")");
-    } else {
-      // Composite-key selector: fold into a row-id set via semi-joins.
-      if (!has_composite) {
-        rid_sql << "SELECT jb_rid FROM " << fact;
-        has_composite = true;
-      }
-      rid_sql << " SEMI JOIN " << sel.table << " ON ";
-      for (size_t k = 0; k < sel.keys.size(); ++k) {
-        if (k) rid_sql << " AND ";
-        rid_sql << fact << "." << sel.keys[k] << " = " << sel.table << "."
-                << sel.keys[k];
-      }
+    std::string keys;
+    for (size_t k = 0; k < sel.keys.size(); ++k) {
+      if (k) keys += ", ";
+      keys += sel.keys[k];
     }
-  }
-  if (has_composite) {
-    parts.push_back("jb_rid IN (" + rid_sql.str() + ")");
+    const std::string probe = sel.keys.size() == 1 ? keys : "(" + keys + ")";
+    parts.push_back(probe + " IN (SELECT " + keys + " FROM " + sel.table +
+                    ")");
   }
 
   std::string out;

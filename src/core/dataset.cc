@@ -20,6 +20,17 @@ bool AllFinite(const ColumnData& col) {
   return std::find(v->begin(), v->end(), kNullInt64) == v->end();
 }
 
+/// True when some value of `col` is NULL (NaN for floats).
+bool HoldsNull(const ColumnData& col) {
+  if (col.type() == TypeId::kFloat64) {
+    const auto v = col.ScanDoubles();
+    return std::any_of(v->begin(), v->end(),
+                       [](double d) { return std::isnan(d); });
+  }
+  const auto v = col.ScanInts();
+  return std::find(v->begin(), v->end(), kNullInt64) != v->end();
+}
+
 }  // namespace
 
 void Dataset::AddTable(const std::string& table,
@@ -47,9 +58,11 @@ void Dataset::Prepare() {
     auto& rel = graph_.relation(static_cast<int>(i));
     TablePtr table = db_->catalog().Get(rel.name);
     rel.num_rows = table->num_rows();
+    rel.null_features.clear();
     for (const auto& f : rel.features) {
       JB_CHECK_MSG(table->schema().HasField(f),
                    "feature " << f << " missing from " << rel.name);
+      if (HoldsNull(*table->column(f))) rel.null_features.push_back(f);
     }
     if (!rel.y_column.empty()) {
       JB_CHECK_MSG(table->schema().HasField(rel.y_column),

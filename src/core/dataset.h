@@ -24,9 +24,10 @@ class Dataset {
                std::vector<std::string> keys);
 
   /// Validate tables/columns, measure cardinalities and edge-key uniqueness
-  /// (drives N-to-1 detection, identity messages and CPT clusters). Called
-  /// automatically by Train(); idempotent. Throws JbError when a target
-  /// column holds a NULL, NaN or infinite value.
+  /// (drives N-to-1 detection, identity messages and CPT clusters), and
+  /// record which features hold a NULL. Called automatically by Train();
+  /// idempotent. Throws JbError when a target column holds a NULL, NaN or
+  /// infinite value.
   void Prepare();
   bool prepared() const { return prepared_; }
 

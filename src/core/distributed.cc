@@ -5,6 +5,7 @@
 #include <map>
 
 #include "core/boosting.h"
+#include "core/split.h"
 #include "factor/message_passing.h"
 #include "sql/printer.h"
 #include "util/check.h"
@@ -39,6 +40,10 @@ void DistributedTrainer::Partition(Dataset& source) {
   (void)clusters;
   y_column_ = g.relation(g.YRelation()).y_column;
   features_ = g.AllFeatures();
+  for (const auto& rel : g.relations()) {
+    null_features_.insert(null_features_.end(), rel.null_features.begin(),
+                          rel.null_features.end());
+  }
 
   TablePtr fact_tbl = source.db()->catalog().Get(g.relation(fact).name);
   const size_t rows = fact_tbl->num_rows();
@@ -278,14 +283,14 @@ DistributedResult DistributedTrainer::Train(const TrainParams& params) {
       left.node = li;
       right.node = ri;
       left.depth = right.depth = leaf.depth + 1;
+      ChildPredicates child = SplitPredicates(
+          leaf.best_feature, /*categorical=*/false, leaf.best_threshold, "",
+          std::find(null_features_.begin(), null_features_.end(),
+                    leaf.best_feature) != null_features_.end());
       left.preds = leaf.preds;
-      left.preds.Add(leaf.best_rel,
-                     leaf.best_feature + " <= " +
-                         sql::DoubleLiteral(leaf.best_threshold));
+      left.preds.Add(leaf.best_rel, child.left);
       right.preds = leaf.preds;
-      right.preds.Add(leaf.best_rel,
-                      leaf.best_feature + " > " +
-                          sql::DoubleLiteral(leaf.best_threshold));
+      right.preds.Add(leaf.best_rel, child.right);
       left.c = leaf.best_cl;
       left.s = leaf.best_sl;
       right.c = leaf.c - left.c;

@@ -51,6 +51,9 @@ class DistributedTrainer {
   std::vector<std::unique_ptr<Worker>> workers_;
   std::string y_column_;
   std::vector<std::string> features_;
+  /// Features holding a NULL anywhere in the source fact or dimensions: a
+  /// shard may miss the NULL rows, but every worker shares one predicate.
+  std::vector<std::string> null_features_;
 };
 
 }  // namespace core

@@ -1,6 +1,7 @@
 #include "core/session.h"
 
 #include <atomic>
+#include <cmath>
 #include <sstream>
 
 #include "sql/printer.h"
@@ -13,6 +14,38 @@ using sql::DoubleLiteral;
 
 namespace {
 std::atomic<uint64_t> g_session_counter{0};
+
+/// Rejects a target outside the objective's domain, reading the column from
+/// storage (no SQL): on such a target a log-link objective clamps its base
+/// score and trains a degenerate model without an error. NULL/NaN targets
+/// are left to Dataset::Prepare, which rejects them.
+void CheckTargetDomain(const semiring::Objective& obj, exec::Database& db,
+                       const graph::JoinGraph& g) {
+  using Domain = semiring::Objective::TargetDomain;
+  const Domain domain = obj.target_domain();
+  const int y_rel = g.YRelation();
+  if (domain == Domain::kAnyReal || y_rel < 0) return;
+  const graph::Relation& rel = g.relation(y_rel);
+  TablePtr table = db.catalog().Get(rel.name);
+  if (!table->schema().HasField(rel.y_column)) return;  // Prepare reports it
+  const ColumnData& col = *table->column(rel.y_column);
+  auto check = [&](double y) {
+    if (std::isnan(y)) return;
+    if (domain == Domain::kPositive ? y > 0 : y >= 0) return;
+    JB_THROW("objective " << obj.name() << " needs targets "
+                          << (domain == Domain::kPositive ? "> 0" : ">= 0")
+                          << ", but " << rel.name << "." << rel.y_column
+                          << " holds " << y);
+  };
+  if (col.type() == TypeId::kFloat64) {
+    for (double y : *col.ScanDoubles()) check(y);
+  } else if (col.type() == TypeId::kInt64) {
+    for (int64_t y : *col.ScanInts()) {
+      if (y != kNullInt64) check(static_cast<double>(y));
+    }
+  }
+}
+
 }  // namespace
 
 Session::Session(Dataset* data, TrainParams params)
@@ -150,9 +183,10 @@ void Session::LiftFact(int rel, bool with_y) {
 }
 
 void Session::Prepare() {
-  data_->Prepare();
   objective_ = semiring::MakeObjective(params_.objective,
                                        params_.objective_param);
+  CheckTargetDomain(*objective_, *data_->db(), data_->graph());
+  data_->Prepare();
   const graph::JoinGraph& g = data_->graph();
   exec::Database& db = *data_->db();
 

@@ -11,6 +11,21 @@
 namespace joinboost {
 namespace core {
 
+ChildPredicates SplitPredicates(const std::string& feature, bool categorical,
+                                double threshold, const std::string& category,
+                                bool holds_null) {
+  ChildPredicates out;
+  if (categorical) {
+    out.left = feature + " = " + sql::QuoteString(category);
+    out.right = feature + " <> " + sql::QuoteString(category);
+  } else {
+    out.left = feature + " <= " + sql::DoubleLiteral(threshold);
+    out.right = feature + " > " + sql::DoubleLiteral(threshold);
+  }
+  if (holds_null) out.right = "(" + out.right + " OR " + feature + " IS NULL)";
+  return out;
+}
+
 std::string CriterionSql(const CriterionParams& p) {
   using sql::DoubleLiteral;
   std::string S = DoubleLiteral(p.s_total);

@@ -22,6 +22,21 @@ struct SplitCandidate {
   double s_left = 0;  ///< S (or G) of the selected side σ
 };
 
+/// The two child predicates of a split (paper §3.2 forms).
+struct ChildPredicates {
+  std::string left;
+  std::string right;
+};
+
+/// `f <= t` / `f > t`, or `f = 'c'` / `f <> 'c'`. The right child takes
+/// every row the left one does not, as TreeModel::Predict routes it: when
+/// the feature's column holds a NULL (`holds_null`), the right predicate
+/// is `(f > t OR f IS NULL)` / `(f <> 'c' OR f IS NULL)`, since a NULL
+/// satisfies neither comparison.
+ChildPredicates SplitPredicates(const std::string& feature, bool categorical,
+                                double threshold, const std::string& category,
+                                bool holds_null);
+
 /// Constants of the node being split, baked into the criterion SQL just as
 /// the paper substitutes {$stotal}/{$ctotal} (Example 2).
 struct CriterionParams {

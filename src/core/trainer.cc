@@ -5,7 +5,6 @@
 #include <map>
 #include <unordered_set>
 
-#include "sql/printer.h"
 #include "util/check.h"
 
 namespace joinboost {
@@ -313,21 +312,16 @@ GrowthResult TreeGrower::Grow(const std::vector<std::string>& features,
     tree.nodes[static_cast<size_t>(leaf.node)].left = left_idx;
     tree.nodes[static_cast<size_t>(leaf.node)].right = right_idx;
 
-    // Child predicates (paper §3.2 predicate forms).
-    std::string left_pred, right_pred;
-    if (sp.categorical) {
-      left_pred = sp.feature + " = " + sql::QuoteString(sp.category_str);
-      right_pred = sp.feature + " <> " + sql::QuoteString(sp.category_str);
-    } else {
-      left_pred = sp.feature + " <= " + sql::DoubleLiteral(sp.threshold);
-      right_pred = sp.feature + " > " + sql::DoubleLiteral(sp.threshold);
-    }
+    const auto& nulls = fac_->graph().relation(sp.relation).null_features;
+    ChildPredicates child = SplitPredicates(
+        sp.feature, sp.categorical, sp.threshold, sp.category_str,
+        std::find(nulls.begin(), nulls.end(), sp.feature) != nulls.end());
 
     LeafState left;
     left.node = left_idx;
     left.depth = leaf.depth + 1;
     left.preds = leaf.preds;
-    left.preds.Add(sp.relation, left_pred);
+    left.preds.Add(sp.relation, child.left);
     left.c = sp.c_left;
     left.s = sp.s_left;
 
@@ -335,7 +329,7 @@ GrowthResult TreeGrower::Grow(const std::vector<std::string>& features,
     right.node = right_idx;
     right.depth = leaf.depth + 1;
     right.preds = leaf.preds;
-    right.preds.Add(sp.relation, right_pred);
+    right.preds.Add(sp.relation, child.right);
     right.c = leaf.c - sp.c_left;
     right.s = leaf.s - sp.s_left;
 

@@ -5,10 +5,21 @@
 #include <cmath>
 #include <cstring>
 
+#include "exec/morsel.h"
+#include "exec/operators.h"
+#include "sql/printer.h"
 #include "util/hash.h"
 
 namespace joinboost {
 namespace exec {
+
+/// The subquery's result rows, hashed like a semi-join build side. A probe
+/// row is a member when some result row equals it cell by cell
+/// (RowsEqual); hash equality alone never decides.
+struct InSubquerySet {
+  std::vector<VectorData> keys;  ///< one per subquery result column
+  hash::JoinHashTable table;     ///< over the result rows' key hashes
+};
 
 namespace {
 
@@ -163,6 +174,184 @@ bool IsLiteral(const sql::Expr& e) {
 VectorData EvalFunc(const sql::Expr& e, const ExecTable& input,
                     EvalContext& ctx);
 
+/// SQL truth of a boolean cell: NULL counts as false.
+bool Truthy(int64_t c) { return c != 0 && c != kNullInt64; }
+
+/// Copies the override vectors reachable in `e` (not below an overridden
+/// node) at the rows `sel`.
+void GatherOverrides(
+    const sql::Expr& e,
+    const std::unordered_map<const sql::Expr*, VectorData>& all,
+    const std::vector<uint32_t>& sel,
+    std::unordered_map<const sql::Expr*, VectorData>* out) {
+  auto it = all.find(&e);
+  if (it != all.end()) {
+    out->emplace(&e, it->second.Gather(sel));
+    return;
+  }
+  for (const auto& a : e.args) {
+    if (a) GatherOverrides(*a, all, sel, out);
+  }
+}
+
+/// `e` evaluated on the rows `sel` of `input` (ascending row ids; null =
+/// every row). A strict subset is gathered first — only the columns `e` can
+/// reference, and the override vectors of its subtree — so a CASE branch or
+/// an AND operand costs in proportion to the rows that reach it. A subset
+/// of zero rows still evaluates `e`: it still sets the result type and
+/// still raises a name error.
+VectorData EvalOnRows(const sql::Expr& e, const ExecTable& input,
+                      const std::vector<uint32_t>* sel, EvalContext& ctx) {
+  if (sel == nullptr || sel->size() == input.rows) {
+    return EvalExpr(e, input, ctx);
+  }
+  ExecTable sub;
+  sub.rows = sel->size();
+  for (size_t c : morsel::UsedColumns(e, input)) {
+    const ExecColumn& col = input.cols[c];
+    sub.cols.push_back({col.qualifier, col.name, col.data.Gather(*sel)});
+  }
+  if (ctx.overrides.empty()) return EvalExpr(e, sub, ctx);
+  // Overrides align with `input`'s rows: swap in their subsets for the
+  // duration of the call.
+  std::unordered_map<const sql::Expr*, VectorData> subset;
+  GatherOverrides(e, ctx.overrides, *sel, &subset);
+  ctx.overrides.swap(subset);  // `subset` now holds the outer overrides
+  VectorData out;
+  try {
+    out = EvalExpr(e, sub, ctx);
+  } catch (...) {
+    ctx.overrides.swap(subset);
+    throw;
+  }
+  ctx.overrides.swap(subset);
+  return out;
+}
+
+/// CASE on selection vectors: WHEN p runs only on the rows no earlier WHEN
+/// matched, THEN p only on the rows WHEN p matched, ELSE on the rest. The
+/// result is double when any THEN/ELSE branch is double, else int; a row
+/// no branch covers is NULL.
+VectorData EvalCase(const sql::Expr& e, const ExecTable& input,
+                    EvalContext& ctx) {
+  const size_t rows = input.rows;
+  const size_t pairs = (e.args.size() - (e.has_else ? 1 : 0)) / 2;
+  std::vector<std::vector<uint32_t>> hits(pairs);
+  std::vector<VectorData> vals(pairs);
+  std::vector<uint32_t> rest_rows;
+  const std::vector<uint32_t>* rest = nullptr;  // null = every row
+  for (size_t p = 0; p < pairs; ++p) {
+    VectorData cond = EvalOnRows(*e.args[2 * p], input, rest, ctx);
+    const size_t n = rest ? rest->size() : rows;
+    std::vector<uint32_t> missed;
+    if (n > 0) {
+      const auto& c = cond.Ints();
+      for (size_t k = 0; k < n; ++k) {
+        uint32_t row = rest ? (*rest)[k] : static_cast<uint32_t>(k);
+        (Truthy(c[k]) ? hits[p] : missed).push_back(row);
+      }
+    }
+    vals[p] = EvalOnRows(*e.args[2 * p + 1], input, &hits[p], ctx);
+    rest_rows = std::move(missed);
+    rest = &rest_rows;
+  }
+  VectorData else_val;
+  if (e.has_else) else_val = EvalOnRows(*e.args.back(), input, rest, ctx);
+
+  bool as_double = e.has_else && else_val.type == TypeId::kFloat64;
+  for (const auto& v : vals) as_double |= v.type == TypeId::kFloat64;
+  // Scatter each branch's values back to its rows.
+  auto scatter = [&](auto* out, auto value_at) {
+    for (size_t p = 0; p < pairs; ++p) {
+      for (size_t k = 0; k < hits[p].size(); ++k) {
+        (*out)[hits[p][k]] = value_at(vals[p], k);
+      }
+    }
+    if (!e.has_else) return;
+    const size_t n = rest ? rest->size() : rows;
+    for (size_t k = 0; k < n; ++k) {
+      (*out)[rest ? (*rest)[k] : k] = value_at(else_val, k);
+    }
+  };
+  if (as_double) {
+    std::vector<double> out(rows, NullFloat64());
+    scatter(&out, [](const VectorData& v, size_t k) {
+      return NullSafeToDouble(v, k);
+    });
+    return VectorData::FromDoubles(std::move(out));
+  }
+  std::vector<int64_t> out(rows, kNullInt64);
+  scatter(&out, [](const VectorData& v, size_t k) { return v.Ints()[k]; });
+  return VectorData::FromInts(std::move(out));
+}
+
+/// The membership set of IN node `e`, built on first use per distinct
+/// subquery text (see EvalContext::in_sets).
+const InSubquerySet& GetOrBuildInSubquerySet(const sql::Expr& e,
+                                             EvalContext& ctx) {
+  auto by_node = ctx.in_sets.find(&e);
+  if (by_node != ctx.in_sets.end()) return *by_node->second;
+  std::string text = sql::ToSql(*e.subquery);
+  auto by_sql = ctx.in_sets_by_sql.find(text);
+  if (by_sql == ctx.in_sets_by_sql.end()) {
+    JB_CHECK_MSG(ctx.run_subquery, "no subquery runner in context");
+    ExecTable sub = ctx.run_subquery(*e.subquery);
+    auto set = std::make_shared<InSubquerySet>();
+    std::vector<const VectorData*> keys;
+    set->keys.reserve(sub.cols.size());
+    for (auto& c : sub.cols) {
+      set->keys.push_back(std::move(c.data));
+      keys.push_back(&set->keys.back());
+    }
+    std::vector<uint64_t> hashes = morsel::HashKeys(keys, sub.rows, OpContext{});
+    set->table.Build(hashes.data(), sub.rows);
+    by_sql = ctx.in_sets_by_sql.emplace(std::move(text), std::move(set)).first;
+  }
+  ctx.in_sets.emplace(&e, by_sql->second);
+  return *by_sql->second;
+}
+
+/// `probe [NOT] IN (SELECT ...)` and its row-value form `(p1, p2, ...)
+/// [NOT] IN (SELECT c1, c2, ...)`: a semi-join probe of the subquery's
+/// rows. A NULL in any probe column is never a member. Over zero rows the
+/// subquery does not run.
+VectorData EvalInSubquery(const sql::Expr& e, const ExecTable& input,
+                          EvalContext& ctx) {
+  const size_t rows = input.rows;
+  std::vector<VectorData> probes;
+  probes.reserve(e.args.size());
+  for (const auto& a : e.args) probes.push_back(EvalExpr(*a, input, ctx));
+  if (rows == 0) return VectorData::FromInts({});
+  const InSubquerySet& set = GetOrBuildInSubquerySet(e, ctx);
+  JB_CHECK_MSG(set.keys.size() == probes.size(),
+               "IN subquery returns " << set.keys.size() << " column(s) for "
+                                      << probes.size() << " probe value(s)");
+  std::vector<const VectorData*> pk, bk;
+  for (size_t i = 0; i < probes.size(); ++i) {
+    probes[i] = AlignDictionary(probes[i], set.keys[i]);
+    pk.push_back(&probes[i]);
+    bk.push_back(&set.keys[i]);
+  }
+  std::vector<uint64_t> hashes = morsel::HashKeys(pk, rows, OpContext{});
+  std::vector<int64_t> out(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    bool found = false;
+    bool null_probe = false;
+    for (const auto* p : pk) null_probe |= p->IsNull(r);
+    if (!null_probe) {
+      for (uint32_t b = set.table.Probe(hashes[r]); b != hash::kInvalidIndex;
+           b = set.table.Next(b)) {
+        if (RowsEqual(pk, r, bk, b)) {
+          found = true;
+          break;
+        }
+      }
+    }
+    out[r] = (found != e.negated) ? 1 : 0;
+  }
+  return VectorData::FromInts(std::move(out));
+}
+
 std::atomic<size_t> g_in_list_translations{0};
 
 }  // namespace
@@ -233,16 +422,30 @@ VectorData EvalExpr(const sql::Expr& e, const ExecTable& input,
       return BroadcastLiteralForColumn(e, rows, nullptr);
     case sql::ExprKind::kBinary: {
       const std::string& op = e.op;
-      if (op == "AND" || op == "OR") {
+      if (op == "AND") {
+        // The right operand runs only on the rows the left one passed.
+        VectorData l = EvalExpr(*e.args[0], input, ctx);
+        const auto& a = l.Ints();
+        std::vector<uint32_t> passed;
+        for (size_t i = 0; i < rows; ++i) {
+          if (Truthy(a[i])) passed.push_back(static_cast<uint32_t>(i));
+        }
+        VectorData r = EvalOnRows(*e.args[1], input, &passed, ctx);
+        const auto& b = r.Ints();
+        std::vector<int64_t> out(rows, 0);
+        for (size_t k = 0; k < passed.size(); ++k) {
+          out[passed[k]] = Truthy(b[k]) ? 1 : 0;
+        }
+        return VectorData::FromInts(std::move(out));
+      }
+      if (op == "OR") {
         VectorData l = EvalExpr(*e.args[0], input, ctx);
         VectorData r = EvalExpr(*e.args[1], input, ctx);
         const auto& a = l.Ints();
         const auto& b = r.Ints();
         std::vector<int64_t> out(rows);
         for (size_t i = 0; i < rows; ++i) {
-          bool x = a[i] != 0 && a[i] != kNullInt64;
-          bool y = b[i] != 0 && b[i] != kNullInt64;
-          out[i] = (op == "AND" ? (x && y) : (x || y)) ? 1 : 0;
+          out[i] = (Truthy(a[i]) || Truthy(b[i])) ? 1 : 0;
         }
         return VectorData::FromInts(std::move(out));
       }
@@ -288,49 +491,8 @@ VectorData EvalExpr(const sql::Expr& e, const ExecTable& input,
     }
     case sql::ExprKind::kFuncCall:
       return EvalFunc(e, input, ctx);
-    case sql::ExprKind::kCase: {
-      size_t pairs = (e.args.size() - (e.has_else ? 1 : 0)) / 2;
-      std::vector<VectorData> conds(pairs), vals(pairs);
-      for (size_t p = 0; p < pairs; ++p) {
-        conds[p] = EvalExpr(*e.args[2 * p], input, ctx);
-        vals[p] = EvalExpr(*e.args[2 * p + 1], input, ctx);
-      }
-      VectorData else_val;
-      if (e.has_else) else_val = EvalExpr(*e.args.back(), input, ctx);
-      // Result typed double if any branch is double, else int.
-      bool as_double = e.has_else && else_val.type == TypeId::kFloat64;
-      for (const auto& v : vals) as_double |= v.type == TypeId::kFloat64;
-      if (as_double) {
-        std::vector<double> out(rows, NullFloat64());
-        for (size_t i = 0; i < rows; ++i) {
-          bool matched = false;
-          for (size_t p = 0; p < pairs; ++p) {
-            int64_t c = conds[p].Ints()[i];
-            if (c != 0 && c != kNullInt64) {
-              out[i] = NullSafeToDouble(vals[p], i);
-              matched = true;
-              break;
-            }
-          }
-          if (!matched && e.has_else) out[i] = NullSafeToDouble(else_val, i);
-        }
-        return VectorData::FromDoubles(std::move(out));
-      }
-      std::vector<int64_t> out(rows, kNullInt64);
-      for (size_t i = 0; i < rows; ++i) {
-        bool matched = false;
-        for (size_t p = 0; p < pairs; ++p) {
-          int64_t c = conds[p].Ints()[i];
-          if (c != 0 && c != kNullInt64) {
-            out[i] = vals[p].Ints()[i];
-            matched = true;
-            break;
-          }
-        }
-        if (!matched && e.has_else) out[i] = else_val.Ints()[i];
-      }
-      return VectorData::FromInts(std::move(out));
-    }
+    case sql::ExprKind::kCase:
+      return EvalCase(e, input, ctx);
     case sql::ExprKind::kInSubquery: {
       if (e.args.empty()) {
         // Scalar subquery: run once per context, broadcast the value.
@@ -349,47 +511,7 @@ VectorData EvalExpr(const sql::Expr& e, const ExecTable& input,
         }
         return VectorData::FromInts(std::vector<int64_t>(rows, (*v.ints)[0]));
       }
-      // IN (subquery): the membership set — and the subquery run feeding it
-      // — is built once per context and cached on the predicate node.
-      std::shared_ptr<const hash::ValueSet> set;
-      auto cached = ctx.in_sets.find(&e);
-      if (cached != ctx.in_sets.end()) {
-        set = cached->second;
-      } else {
-        JB_CHECK_MSG(ctx.run_subquery, "no subquery runner in context");
-        ExecTable sub = ctx.run_subquery(*e.subquery);
-        JB_CHECK_MSG(sub.cols.size() == 1, "IN subquery must return 1 column");
-        const VectorData& list = sub.cols[0].data;
-        auto s = std::make_shared<hash::ValueSet>(sub.rows);
-        if (list.type == TypeId::kFloat64) {
-          for (double d : list.Dbls()) {
-            int64_t bits;
-            static_assert(sizeof(double) == sizeof(int64_t));
-            std::memcpy(&bits, &d, 8);
-            s->Insert(static_cast<uint64_t>(bits));
-          }
-        } else {
-          for (int64_t x : list.Ints()) s->Insert(static_cast<uint64_t>(x));
-        }
-        set = s;
-        ctx.in_sets.emplace(&e, set);
-      }
-      VectorData probe = EvalExpr(*e.args[0], input, ctx);
-      std::vector<int64_t> out(rows);
-      for (size_t i = 0; i < rows; ++i) {
-        bool found;
-        if (probe.type == TypeId::kFloat64) {
-          double d = (*probe.dbls)[i];
-          int64_t bits;
-          std::memcpy(&bits, &d, 8);
-          found = set->Contains(static_cast<uint64_t>(bits));
-        } else {
-          int64_t x = (*probe.ints)[i];
-          found = x != kNullInt64 && set->Contains(static_cast<uint64_t>(x));
-        }
-        out[i] = (found != e.negated) ? 1 : 0;
-      }
-      return VectorData::FromInts(std::move(out));
+      return EvalInSubquery(e, input, ctx);
     }
     case sql::ExprKind::kInList: {
       VectorData probe = EvalExpr(*e.args[0], input, ctx);

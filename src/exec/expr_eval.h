@@ -3,6 +3,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <utility>
 
@@ -23,6 +24,9 @@ struct InListSet {
   int64_t max_value = 0;
 };
 
+/// Membership set of one IN (subquery), probed like a semi-join.
+struct InSubquerySet;
+
 /// Context threaded through expression evaluation.
 struct EvalContext {
   /// Executes an IN/scalar subquery and returns its result.
@@ -33,12 +37,15 @@ struct EvalContext {
   std::unordered_map<const sql::Expr*, VectorData> overrides;
 
   /// Membership sets of IN (subquery) predicates, built once per context per
-  /// predicate node and reused across evaluations. Without the cache, every
-  /// evaluation rebuilt the set — and row-mode scalar evaluation re-enters
-  /// the vectorized path per row, so an IN predicate rebuilt its set (and
-  /// re-ran its subquery) once per input row.
-  std::unordered_map<const sql::Expr*, std::shared_ptr<const hash::ValueSet>>
+  /// distinct subquery: nodes whose subqueries print to the same SQL share
+  /// one run and one set (`in_sets_by_sql`), so a CASE whose leaves repeat a
+  /// selector runs it once. `in_sets` is looked up first, per predicate
+  /// node: row-mode scalar evaluation re-enters the vectorized path once per
+  /// input row and must not print the subquery each time.
+  std::unordered_map<const sql::Expr*, std::shared_ptr<const InSubquerySet>>
       in_sets;
+  std::unordered_map<std::string, std::shared_ptr<const InSubquerySet>>
+      in_sets_by_sql;
 
   /// IN (...) literal lists translated per (predicate node, probe
   /// dictionary). String probes with different dictionaries translate to

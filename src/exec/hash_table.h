@@ -37,8 +37,8 @@ namespace hash {
 ///     of same-hash groups are linked through a per-group array. Group ids
 ///     are assigned in first-occurrence order of their key.
 ///
-///   * `ValueSet` — flat membership set of 64-bit values for IN (...) and
-///     IN (subquery) predicates.
+///   * `ValueSet` — flat membership set of 64-bit values for IN (...) list
+///     predicates. IN (subquery) probes a `JoinHashTable` like a semi-join.
 
 /// Sentinel for "no row / no group".
 constexpr uint32_t kInvalidIndex = UINT32_MAX;
@@ -269,7 +269,7 @@ class GroupHashTable {
 
 /// Flat membership set of 64-bit values (int64 values or float64 bit
 /// patterns). Replaces the per-evaluation `std::unordered_set<int64_t>` of
-/// IN predicates. A thin wrapper over the slot directory: SplitMix64 is a
+/// IN-list predicates. A thin wrapper over the slot directory: SplitMix64 is a
 /// bijection, so storing the mixed value as the slot hash loses nothing —
 /// hash equality is value equality and no second probe/grow implementation
 /// is needed.

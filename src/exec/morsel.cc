@@ -199,26 +199,6 @@ bool ExprNodeSafe(const sql::Expr& e) {
   return e.subquery == nullptr;
 }
 
-/// Input columns `e` could resolve against: every column a ref's
-/// first-match lookup might land on (same name; qualifier matching or
-/// absent). Slicing only these keeps per-morsel copies proportional to the
-/// expression, not the table width, without changing name resolution.
-std::vector<size_t> UsedColumns(const sql::Expr& e, const ExecTable& input) {
-  std::vector<const sql::Expr*> refs;
-  sql::CollectColumnRefs(e, &refs);
-  std::vector<size_t> used;
-  for (size_t c = 0; c < input.cols.size(); ++c) {
-    for (const auto* r : refs) {
-      if (r->column == input.cols[c].name &&
-          (r->table.empty() || r->table == input.cols[c].qualifier)) {
-        used.push_back(c);
-        break;
-      }
-    }
-  }
-  return used;
-}
-
 /// Per-morsel results must agree on type and dictionary before they can be
 /// concatenated into one vector.
 bool PartsHomogeneous(const std::vector<VectorData>& parts) {
@@ -250,6 +230,22 @@ VectorData ConcatParts(const std::vector<VectorData>& parts, size_t rows) {
 }
 
 }  // namespace
+
+std::vector<size_t> UsedColumns(const sql::Expr& e, const ExecTable& input) {
+  std::vector<const sql::Expr*> refs;
+  sql::CollectColumnRefs(e, &refs);
+  std::vector<size_t> used;
+  for (size_t c = 0; c < input.cols.size(); ++c) {
+    for (const auto* r : refs) {
+      if (r->column == input.cols[c].name &&
+          (r->table.empty() || r->table == input.cols[c].qualifier)) {
+        used.push_back(c);
+        break;
+      }
+    }
+  }
+  return used;
+}
 
 bool ExprMorselSafe(const sql::Expr& e, const EvalContext& ectx) {
   return ectx.overrides.empty() && ExprNodeSafe(e);

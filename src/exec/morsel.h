@@ -61,6 +61,13 @@ RunStats ForEachRange(const OpContext& ctx, size_t rows,
 ExecTable SliceRows(const ExecTable& input, size_t begin, size_t end,
                     const std::vector<size_t>* columns = nullptr);
 
+/// Input columns `e` could resolve against: every column a ref's
+/// first-match lookup might land on (same name; qualifier matching or
+/// absent), ascending. Copying only these keeps a row subset's cost
+/// proportional to the expression, not the table width, without changing
+/// name resolution.
+std::vector<size_t> UsedColumns(const sql::Expr& e, const ExecTable& input);
+
 /// True when `e` can be evaluated independently per morsel: no subqueries
 /// (would re-run per morsel), no aggregate/window nodes, and no pre-computed
 /// override results in `ectx` (those are full-length vectors aligned to the

@@ -58,6 +58,8 @@ bool CellsEqual(const VectorData& a, size_t ra, const VectorData& b,
   return (*a.ints)[ra] == (*b.ints)[rb];
 }
 
+}  // namespace
+
 bool RowsEqual(const std::vector<const VectorData*>& a, size_t ra,
                const std::vector<const VectorData*>& b, size_t rb) {
   for (size_t i = 0; i < a.size(); ++i) {
@@ -66,7 +68,31 @@ bool RowsEqual(const std::vector<const VectorData*>& a, size_t ra,
   return true;
 }
 
-}  // namespace
+VectorData AlignDictionary(const VectorData& probe, const VectorData& build) {
+  if (!(probe.type == TypeId::kString && build.type == TypeId::kString &&
+        probe.dict && build.dict && probe.dict != build.dict)) {
+    return probe;
+  }
+  // Build codes are dense non-negatives or the NULL sentinel, so a string
+  // absent from the build dictionary gets a code that matches nothing,
+  // while NULL still pairs with NULL — exactly the semantics of a
+  // shared-dictionary code comparison.
+  constexpr int64_t kAbsentCode = kNullInt64 + 1;
+  const Dictionary& pd = *probe.dict;
+  const Dictionary& bd = *build.dict;
+  std::vector<int64_t> remap(pd.size());
+  for (size_t code = 0; code < pd.size(); ++code) {
+    int64_t t = bd.Find(pd.At(static_cast<int64_t>(code)));
+    remap[code] = t == kNullInt64 ? kAbsentCode : t;
+  }
+  const std::vector<int64_t>& src = *probe.ints;
+  std::vector<int64_t> codes(src.size());
+  for (size_t r = 0; r < src.size(); ++r) {
+    codes[r] = src[r] == kNullInt64 ? kNullInt64
+                                    : remap[static_cast<size_t>(src[r])];
+  }
+  return VectorData::FromCodes(std::move(codes), build.dict);
+}
 
 ExecTable ScanTable(const Table& table, const std::string& qualifier,
                     const OpContext& ctx) {
@@ -254,39 +280,13 @@ ExecTable HashJoinExec(const ExecTable& left, const ExecTable& right,
   }
   // Cross-dictionary string joins: remap the probe (left) side's codes into
   // the build side's code space once per key column, so hashing and equality
-  // both run on plain int codes with no string materialization. Left codes
-  // absent from the right dictionary map to a sentinel no right-side code
-  // can carry (right codes are dense non-negatives or the NULL sentinel),
-  // so absent strings match nothing while NULL still pairs with NULL —
-  // exactly the semantics of a shared-dictionary code join. Output columns
-  // gather from the original inputs, untouched.
-  constexpr int64_t kAbsentCode = kNullInt64 + 1;
-  std::vector<VectorData> remapped;
-  remapped.reserve(lk.size());  // keep lk's pointers stable across pushes
+  // both run on plain int codes with no string materialization. Output
+  // columns gather from the original inputs, untouched.
+  std::vector<VectorData> aligned;
+  aligned.reserve(lk.size());  // keep lk's pointers stable across pushes
   for (size_t i = 0; i < lk.size(); ++i) {
-    if (!(lk[i]->type == TypeId::kString && rk[i]->type == TypeId::kString &&
-          lk[i]->dict && rk[i]->dict && lk[i]->dict != rk[i]->dict)) {
-      continue;
-    }
-    const Dictionary& ld = *lk[i]->dict;
-    const Dictionary& rd = *rk[i]->dict;
-    std::vector<int64_t> remap(ld.size());
-    for (size_t code = 0; code < ld.size(); ++code) {
-      int64_t t = rd.Find(ld.At(static_cast<int64_t>(code)));
-      remap[code] = t == kNullInt64 ? kAbsentCode : t;
-    }
-    const std::vector<int64_t>& src = *lk[i]->ints;
-    std::vector<int64_t> codes(src.size());
-    for (size_t r = 0; r < src.size(); ++r) {
-      codes[r] = src[r] == kNullInt64 ? kNullInt64
-                                      : remap[static_cast<size_t>(src[r])];
-    }
-    VectorData v;
-    v.type = TypeId::kString;
-    v.dict = rk[i]->dict;
-    v.ints = std::make_shared<const std::vector<int64_t>>(std::move(codes));
-    remapped.push_back(std::move(v));
-    lk[i] = &remapped.back();
+    aligned.push_back(AlignDictionary(*lk[i], *rk[i]));
+    lk[i] = &aligned.back();
   }
 
   // Hash both key sides column-at-a-time (type dispatched once per column

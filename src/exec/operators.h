@@ -68,6 +68,18 @@ ExecTable ScanTable(const Table& table, const std::string& qualifier,
 ExecTable FilterExec(const ExecTable& input, const sql::Expr& pred,
                      EvalContext& ectx, const OpContext& ctx);
 
+/// Key equality of hash joins, grouping and IN (subquery): row `ra` of `a`
+/// equals row `rb` of `b` cell by cell. Float cells compare by bit pattern
+/// (NaN equals NaN); an int cell against a float cell compares as doubles.
+bool RowsEqual(const std::vector<const VectorData*>& a, size_t ra,
+               const std::vector<const VectorData*>& b, size_t rb);
+
+/// `probe` in `build`'s dictionary code space when both are strings over
+/// different dictionaries, so hashing and RowsEqual run on plain codes;
+/// otherwise `probe` itself. NULL stays NULL, and a string absent from
+/// `build`'s dictionary gets a code no build row carries.
+VectorData AlignDictionary(const VectorData& probe, const VectorData& build);
+
 /// Hash join. `left_keys`/`right_keys` index into the inputs' columns.
 /// Inner and left-outer produce concatenated schemas; semi/anti return the
 /// filtered left input.

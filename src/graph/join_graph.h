@@ -13,6 +13,9 @@ struct Relation {
   std::string y_column;               ///< non-empty iff this is R_Y
   /// Table cardinality; used to pick cluster fact tables and message roots.
   size_t num_rows = 0;
+  /// Features whose column holds a NULL (NaN for floats), filled by
+  /// Dataset::Prepare: a split's right child must admit those rows.
+  std::vector<std::string> null_features;
 };
 
 /// An undirected join edge with (natural-join) key attributes.

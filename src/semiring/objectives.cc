@@ -143,6 +143,9 @@ class FairObjective : public Objective {
 class PoissonObjective : public Objective {
  public:
   std::string name() const override { return "poisson"; }
+  TargetDomain target_domain() const override {
+    return TargetDomain::kNonNegative;
+  }
   double Gradient(double y, double p) const override {
     return y - std::exp(p);
   }
@@ -223,6 +226,9 @@ class MapeObjective : public Objective {
 class GammaObjective : public Objective {
  public:
   std::string name() const override { return "gamma"; }
+  TargetDomain target_domain() const override {
+    return TargetDomain::kPositive;
+  }
   double Gradient(double y, double p) const override {
     return y * std::exp(-p) - 1.0;
   }
@@ -253,6 +259,9 @@ class TweedieObjective : public Objective {
   explicit TweedieObjective(double rho)
       : rho_(rho <= 1 || rho >= 2 ? 1.5 : rho) {}
   std::string name() const override { return "tweedie"; }
+  TargetDomain target_domain() const override {
+    return TargetDomain::kNonNegative;
+  }
   double Gradient(double y, double p) const override {
     return y * std::exp((1 - rho_) * p) - std::exp((2 - rho_) * p);
   }

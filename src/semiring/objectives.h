@@ -49,6 +49,11 @@ class Objective {
   /// True only for rmse: residual updates on non-materialized joins need the
   /// addition-to-multiplication-preserving property (Definition 1).
   virtual bool SupportsGalaxy() const { return false; }
+
+  /// Targets the loss is defined for. The log-link objectives model the
+  /// mean as exp(pred): poisson and tweedie need y >= 0, gamma y > 0.
+  enum class TargetDomain { kAnyReal, kNonNegative, kPositive };
+  virtual TargetDomain target_domain() const { return TargetDomain::kAnyReal; }
 };
 
 using ObjectivePtr = std::shared_ptr<const Objective>;

@@ -26,7 +26,7 @@ enum class ExprKind {
   kAggCall,       ///< SUM/COUNT/AVG/MIN/MAX
   kWindowAgg,     ///< agg OVER (PARTITION BY ... ORDER BY ...)
   kCase,          ///< CASE WHEN c THEN v ... [ELSE e] END
-  kInSubquery,    ///< expr [NOT] IN (SELECT ...)
+  kInSubquery,    ///< expr [NOT] IN (SELECT ...), (e1, e2) [NOT] IN (...)
   kInList,        ///< expr [NOT] IN (v1, v2, ...)
   kIsNull,        ///< expr IS [NOT] NULL
 };
@@ -50,7 +50,8 @@ struct Expr {
   std::string op;
 
   /// Operands: binary [lhs, rhs]; unary [operand]; function args;
-  /// CASE [when1, then1, ..., else?] with has_else; IN [probe(, list items)].
+  /// CASE [when1, then1, ..., else?] with has_else; IN list [probe, items...];
+  /// IN subquery [probe per subquery column] (none = scalar subquery).
   std::vector<ExprPtr> args;
   bool has_else = false;
 

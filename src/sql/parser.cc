@@ -451,22 +451,7 @@ class Parser {
         }
       }
       if (AcceptKeyword("IN")) {
-        ExpectSymbol("(");
-        auto e = std::make_shared<Expr>();
-        e->negated = negated;
-        if (PeekKeyword("SELECT")) {
-          e->kind = ExprKind::kInSubquery;
-          e->subquery = ParseSelect();
-          e->args = {std::move(lhs)};
-        } else {
-          e->kind = ExprKind::kInList;
-          e->args = {std::move(lhs)};
-          do {
-            e->args.push_back(ParseAdditive());
-          } while (AcceptSymbol(","));
-        }
-        ExpectSymbol(")");
-        lhs = std::move(e);
+        lhs = ParseInTail({std::move(lhs)}, negated);
         continue;
       }
       if (AcceptKeyword("IS")) {
@@ -491,6 +476,29 @@ class Parser {
       break;
     }
     return lhs;
+  }
+
+  /// The "(SELECT ...)" or "(v1, v2, ...)" after [NOT] IN. A row value
+  /// (several probes) takes only the subquery form.
+  ExprPtr ParseInTail(std::vector<ExprPtr> probes, bool negated) {
+    ExpectSymbol("(");
+    auto e = std::make_shared<Expr>();
+    e->negated = negated;
+    e->args = std::move(probes);
+    if (PeekKeyword("SELECT")) {
+      e->kind = ExprKind::kInSubquery;
+      e->subquery = ParseSelect();
+    } else {
+      if (e->args.size() > 1) {
+        throw ParseError("a row value IN takes a subquery", lexer_.Peek().pos);
+      }
+      e->kind = ExprKind::kInList;
+      do {
+        e->args.push_back(ParseAdditive());
+      } while (AcceptSymbol(","));
+    }
+    ExpectSymbol(")");
+    return e;
   }
 
   ExprPtr ParseAdditive() {
@@ -574,6 +582,18 @@ class Parser {
         return e;
       }
       ExprPtr inner = ParseExpr();
+      if (PeekSymbol(",")) {
+        // Row value: only valid as the left side of [NOT] IN (SELECT ...).
+        std::vector<ExprPtr> row = {std::move(inner)};
+        while (AcceptSymbol(",")) row.push_back(ParseExpr());
+        ExpectSymbol(")");
+        bool negated = AcceptKeyword("NOT");
+        if (!AcceptKeyword("IN")) {
+          throw ParseError("a parenthesized list must be followed by IN",
+                           lexer_.Peek().pos);
+        }
+        return ParseInTail(std::move(row), negated);
+      }
       ExpectSymbol(")");
       return inner;
     }

@@ -96,7 +96,13 @@ void PrintExpr(const Expr& e, std::ostream& os) {
         PrintSelect(*e.subquery, os);
         os << ")";
       } else {
-        PrintExpr(*e.args[0], os);
+        if (e.args.size() == 1) {
+          PrintExpr(*e.args[0], os);
+        } else {
+          os << "(";
+          PrintExprList(e.args, os);
+          os << ")";
+        }
         os << (e.negated ? " NOT IN (" : " IN (");
         PrintSelect(*e.subquery, os);
         os << ")";

@@ -160,6 +160,13 @@ inline GenQuery GenerateQuery(uint64_t seed) {
   std::vector<std::string> exprs = {
       "fact.x0", "fact.y", "fact.k1", "fact.k2", "(fact.x0 + fact.y)",
       "(fact.x0 * 2 + 1)", "(fact.y - fact.x0)"};
+  // A CASE whose WHENs run on selection vectors, one of them an IN
+  // subquery (the shape of the trainer's residual update).
+  const int64_t case_f1 = rng.NextInt(100, 800);
+  const int64_t case_y = rng.NextInt(10, 40);
+  exprs.push_back("CASE WHEN fact.k1 IN (SELECT d1.k1 FROM d1 WHERE d1.f1 > " +
+                  std::to_string(case_f1) + ") THEN fact.x0 WHEN fact.y < " +
+                  std::to_string(case_y) + " THEN fact.k2 ELSE fact.y END");
   if (d1_cols) {
     exprs.push_back("d1.f1");
     exprs.push_back("(fact.y * d1.f1)");
@@ -200,6 +207,21 @@ inline GenQuery GenerateQuery(uint64_t seed) {
   if (rng.NextInt(0, 9) == 0) {
     preds.push_back("fact.k1 IN (SELECT d1.k1 FROM d1 WHERE d1.f1 > " +
                     std::to_string(rng.NextInt(100, 800)) + ")");
+  }
+  {
+    // Row-value IN: a composite-key membership test. The first subquery
+    // repeats rows (d1 carries duplicate keys); the second compares
+    // dictionary strings.
+    const char* in = rng.NextInt(0, 1) == 0 ? " IN " : " NOT IN ";
+    preds.push_back(rng.NextInt(0, 1) == 0
+                        ? "(fact.k1, fact.k2)" + std::string(in) +
+                              "(SELECT d1.k1, d2.k2 FROM d1 JOIN d2 ON "
+                              "d1.k1 = d2.k2 WHERE d1.f1 > " +
+                              std::to_string(rng.NextInt(100, 800)) + ")"
+                        : "(fact.cat, fact.k2)" + std::string(in) +
+                              "(SELECT fact.cat, fact.k2 FROM fact WHERE "
+                              "fact.x0 > " +
+                              std::to_string(rng.NextInt(1, 9)) + ")");
   }
   int num_preds = static_cast<int>(rng.NextInt(0, 2));
   std::string where;

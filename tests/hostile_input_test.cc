@@ -61,5 +61,121 @@ TEST(HostileInputTest, NonFiniteTargetIsRejected) {
   }
 }
 
+TEST(HostileInputTest, TargetOutsideTheObjectiveDomainIsRejected) {
+  // Log-link objectives: poisson and tweedie need y >= 0, gamma y > 0.
+  struct Case {
+    const char* objective;
+    const char* bad_y;
+  };
+  for (const Case& c : {Case{"poisson", "-1.5"}, Case{"tweedie", "-0.25"},
+                        Case{"gamma", "0.0"}}) {
+    SCOPED_TRACE(c.objective);
+    exec::Database db(EngineProfile::DSwap());
+    test_util::BuildSmallSnowflake(&db, 3, 200);
+    db.Execute("UPDATE fact SET y = ABS(y) + 1.0");
+    db.Execute(std::string("UPDATE fact SET y = ") + c.bad_y +
+               " WHERE k1 = 2");
+    Dataset ds = test_util::MakeSnowflakeDataset(&db);
+    core::TrainParams params;
+    params.num_iterations = 2;
+    params.objective = c.objective;
+    const size_t statements = db.QueryLog().size();
+    try {
+      Train(params, ds);
+      ADD_FAILURE() << "training accepted a target outside the domain";
+    } catch (const JbError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(c.objective), std::string::npos) << what;
+      EXPECT_NE(what.find("fact.y"), std::string::npos) << what;
+    }
+    EXPECT_EQ(db.QueryLog().size(), statements) << "SQL ran before the check";
+  }
+}
+
+/// Σ (y − prediction of the first `t` trees) over the materialized join:
+/// the residual sum that tree `t`'s root must start from.
+double ResidualSum(const core::Ensemble& model, size_t t,
+                   const core::JoinedEval& eval) {
+  core::Ensemble prefix = model;
+  prefix.trees.resize(t);
+  double sum = 0;
+  for (size_t r = 0; r < eval.rows(); ++r) {
+    sum += eval.YValue(r) - eval.Predict(prefix, r);
+  }
+  return sum;
+}
+
+/// d1 rebuilt with a categorical feature `c1` that is NULL for keys 5 and
+/// 6. The fact rows of category 'a' get a far larger target, so the first
+/// split is c1 = 'a' and the NULL rows belong to its right child.
+void AddNullCategory(exec::Database* db) {
+  auto dict = std::make_shared<Dictionary>();
+  std::vector<int64_t> keys, codes;
+  for (int64_t k = 0; k < 17; ++k) {
+    keys.push_back(k);
+    codes.push_back(k == 5 || k == 6 ? kNullInt64
+                                     : dict->GetOrAdd(k % 3 == 0 ? "a" : "b"));
+  }
+  Schema schema;
+  schema.AddField({"k1", TypeId::kInt64});
+  schema.AddField({"c1", TypeId::kString});
+  std::vector<ColumnPtr> cols = {
+      ColumnBuilder(TypeId::kInt64).AppendInts(std::move(keys)).Build(),
+      ColumnBuilder(TypeId::kString, dict).AppendCodes(std::move(codes)).Build()};
+  db->catalog().Drop("d1");
+  db->RegisterTable(std::make_shared<Table>("d1", schema, std::move(cols)));
+  db->Execute("UPDATE fact SET y = y + 50 WHERE k1 IN (0, 3, 9, 12, 15)");
+}
+
+TEST(HostileInputTest, NullFeatureRowsKeepTheirResidual) {
+  // TreeModel::Predict sends a NULL feature right, and the right child's
+  // (c, s) is parent − left, so the SQL of the right child must admit the
+  // NULL rows too; otherwise they keep a stale residual and every later
+  // tree starts from the wrong sums.
+  for (bool categorical : {false, true}) {
+    for (const char* strategy : {"swap", "create", "update", "naive_u"}) {
+      SCOPED_TRACE(std::string(categorical ? "categorical " : "numeric ") +
+                   strategy);
+      exec::Database db(EngineProfile::DSwap());
+      test_util::BuildSmallSnowflake(&db, 5, 400);
+      Dataset ds(&db);
+      if (categorical) {
+        AddNullCategory(&db);
+        ds.AddTable("fact", {}, "y");
+        ds.AddTable("d1", {"c1"});
+      } else {
+        // NaN is the float NULL.
+        db.Execute(
+            "UPDATE fact SET x0 = 1e999 - 1e999, y = y + 50 WHERE k1 < 4");
+        ds.AddTable("fact", {"x0"}, "y");
+        ds.AddTable("d1", {"f1"});
+      }
+      ds.AddTable("d2", {"f2"});
+      ds.AddJoin("fact", "d1", {"k1"});
+      ds.AddJoin("fact", "d2", {"k2"});
+      core::TrainParams params;
+      params.num_iterations = 3;
+      params.num_leaves = 4;
+      params.update_strategy = strategy;
+      TrainResult res = Train(params, ds);
+
+      const std::string feature = categorical ? "c1" : "x0";
+      bool split_on_feature = false;
+      for (const auto& node : res.model.trees[0].nodes) {
+        split_on_feature |= !node.is_leaf && node.feature == feature;
+      }
+      EXPECT_TRUE(split_on_feature);
+      core::JoinedEval eval = core::MaterializeJoin(ds);
+      for (size_t t = 1; t < res.model.trees.size(); ++t) {
+        double want = ResidualSum(res.model, t, eval);
+        EXPECT_TRUE(test_util::RelNear(res.model.trees[t].nodes[0].sum, want,
+                                       1e-9))
+            << "tree " << t << ": root sum " << res.model.trees[t].nodes[0].sum
+            << ", model residual sum " << want;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace joinboost

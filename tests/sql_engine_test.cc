@@ -283,6 +283,165 @@ TEST_F(SqlEngineTest, RoundTrippedDmlExecutesIdentically) {
                    db_->QueryScalarDouble("SELECT SUM(b) AS s FROM u2"));
 }
 
+// ---- IN (subquery) sets, row-value IN, CASE and AND on selection vectors
+
+/// f(jb_rid, k1, k2) probes m(k1, k2): k1 holds a NULL, rows 0 and 4 share
+/// a key pair, m repeats (1, 'x'), and m's strings are coded in a different
+/// dictionary order than f's.
+void AddRowInTables(Database* db) {
+  db->RegisterTable(TableBuilder("f")
+                        .AddInts("jb_rid", {0, 1, 2, 3, 4, 5})
+                        .AddInts("k1", {1, 1, 2, kNullInt64, 1, 3})
+                        .AddStrings("k2", {"x", "y", "x", "x", "x", "z"})
+                        .Build());
+  db->RegisterTable(TableBuilder("m")
+                        .AddInts("k1", {3, 1, 1, 2, 2})
+                        .AddStrings("k2", {"z", "x", "x", "w", "y"})
+                        .Build());
+  db->RegisterTable(TableBuilder("m_null")
+                        .AddInts("k1", {kNullInt64})
+                        .AddStrings("k2", {"x"})
+                        .Build());
+}
+
+std::vector<int64_t> IntColumn(const exec::ExecTable& t, size_t col = 0) {
+  std::vector<int64_t> out;
+  for (size_t r = 0; r < t.rows; ++r) out.push_back(t.GetValue(r, col).i);
+  return out;
+}
+
+TEST_F(SqlEngineTest, RowValueInIsAnExactSemiJoin) {
+  AddRowInTables(db_.get());
+  const std::vector<int64_t> members = {0, 4, 5};
+  EXPECT_EQ(IntColumn(*db_->Query(
+                "SELECT jb_rid FROM f WHERE (k1, k2) IN (SELECT k1, k2 FROM m) "
+                "ORDER BY jb_rid")),
+            members);
+  // The row-id spelling it replaces in the trainer's update statements.
+  EXPECT_EQ(IntColumn(*db_->Query(
+                "SELECT jb_rid FROM f WHERE jb_rid IN (SELECT jb_rid FROM f "
+                "SEMI JOIN m ON f.k1 = m.k1 AND f.k2 = m.k2) ORDER BY jb_rid")),
+            members);
+  // A NULL probe column is never a member, not even of a NULL row.
+  EXPECT_EQ(IntColumn(*db_->Query(
+                "SELECT jb_rid FROM f WHERE (k1, k2) NOT IN (SELECT k1, k2 "
+                "FROM m) ORDER BY jb_rid")),
+            (std::vector<int64_t>{1, 2, 3}));
+  EXPECT_EQ(db_->QueryScalarDouble("SELECT COUNT(*) AS c FROM f WHERE (k1, k2) "
+                                   "IN (SELECT k1, k2 FROM m_null)"),
+            0.0);
+  // Row IN in a projection.
+  EXPECT_EQ(IntColumn(*db_->Query(
+                          "SELECT jb_rid, CASE WHEN (k1, k2) IN (SELECT k1, "
+                          "k2 FROM m) THEN 1 ELSE 0 END AS x FROM f ORDER BY "
+                          "jb_rid"),
+                      1),
+            (std::vector<int64_t>{1, 0, 0, 0, 1, 1}));
+  // The X-row profile filters row at a time.
+  Database row_db(EngineProfile::XRow());
+  AddRowInTables(&row_db);
+  EXPECT_EQ(IntColumn(*row_db.Query(
+                "SELECT jb_rid FROM f WHERE (k1, k2) IN (SELECT k1, k2 FROM m) "
+                "ORDER BY jb_rid")),
+            members);
+}
+
+TEST_F(SqlEngineTest, InSubqueryArityMismatchIsTypedError) {
+  EXPECT_THROW(db_->Query("SELECT a FROM r WHERE (a, b) IN (SELECT a FROM s)"),
+               JbError);
+  EXPECT_THROW(db_->Query("SELECT a FROM r WHERE a IN (SELECT a, c FROM s)"),
+               JbError);
+}
+
+TEST_F(SqlEngineTest, RepeatedInSubqueryIsPlannedOnce) {
+  const size_t before = db_->PlanStatsTotals().queries_planned;
+  auto res = db_->Query(
+      "SELECT a IN (SELECT a FROM s) AS x, b IN (SELECT a FROM s) AS y, "
+      "a IN (SELECT c FROM s) AS z FROM r");
+  // The statement itself, then one run per distinct subquery text.
+  EXPECT_EQ(db_->PlanStatsTotals().queries_planned - before, 3u);
+  EXPECT_EQ(IntColumn(*res, 0), (std::vector<int64_t>{1, 1, 1, 1}));
+  EXPECT_EQ(IntColumn(*res, 1), (std::vector<int64_t>{1, 0, 1, 1}));
+  EXPECT_EQ(IntColumn(*res, 2), (std::vector<int64_t>{1, 1, 1, 1}));
+
+  const size_t mid = db_->PlanStatsTotals().queries_planned;
+  db_->Query(
+      "SELECT a IN (SELECT a FROM s) AS x, b IN (SELECT a FROM s) AS y FROM r");
+  EXPECT_EQ(db_->PlanStatsTotals().queries_planned - mid, 2u);
+}
+
+TEST_F(SqlEngineTest, CaseTypesAndNullsOnSelectionVectors) {
+  // A THEN no row reaches still types the result double.
+  auto res = db_->Query(
+      "SELECT CASE WHEN a > 100 THEN 0.5 ELSE a END AS x FROM r");
+  ASSERT_EQ(res->cols[0].data.type, TypeId::kFloat64);
+  EXPECT_EQ(res->cols[0].data.Dbls(), (std::vector<double>{1, 1, 2, 2}));
+  // A branch no row reaches still raises a name error.
+  EXPECT_THROW(
+      db_->Query("SELECT CASE WHEN a > 100 THEN nope ELSE a END AS x FROM r"),
+      JbError);
+  // A NULL WHEN counts as false.
+  AddRowInTables(db_.get());
+  EXPECT_EQ(IntColumn(*db_->Query(
+                "SELECT CASE WHEN k1 THEN 1 ELSE 2 END AS x FROM f")),
+            (std::vector<int64_t>{1, 1, 1, 2, 1, 1}));
+  // No ELSE: the unmatched rows are NULL.
+  res = db_->Query(
+      "SELECT CASE WHEN a = 1 THEN b WHEN b = 1 THEN 10 END AS x FROM r");
+  EXPECT_EQ(IntColumn(*res), (std::vector<int64_t>{2, 3, 10, kNullInt64}));
+  res = db_->Query("SELECT CASE WHEN a = 1 THEN 0.5 END AS x FROM r");
+  EXPECT_EQ(res->cols[0].data.Dbls()[0], 0.5);
+  EXPECT_TRUE(std::isnan(res->cols[0].data.Dbls()[2]));
+  // CASE over aggregates in a grouped projection.
+  res = db_->Query(
+      "SELECT a, CASE WHEN SUM(b) > 4 THEN SUM(b) * 2 ELSE COUNT(*) END AS x "
+      "FROM r GROUP BY a ORDER BY a");
+  EXPECT_EQ(IntColumn(*res, 1), (std::vector<int64_t>{10, 2}));
+}
+
+TEST_F(SqlEngineTest, AndRunsItsRightOperandOnPassedRows) {
+  // HAVING with AND over two aggregates.
+  EXPECT_EQ(IntColumn(*db_->Query("SELECT a FROM r GROUP BY a HAVING "
+                                  "COUNT(*) = 2 AND SUM(b) > 4")),
+            (std::vector<int64_t>{1}));
+  EXPECT_EQ(IntColumn(*db_->Query("SELECT a FROM r GROUP BY a HAVING "
+                                  "SUM(b) < 4 AND MAX(b) = 2")),
+            (std::vector<int64_t>{2}));
+  // A left operand that passes no row: the right one's IN runs no subquery.
+  const size_t before = db_->PlanStatsTotals().queries_planned;
+  auto res = db_->Query(
+      "SELECT CASE WHEN a > 100 AND b IN (SELECT c FROM s) THEN 1 ELSE 0 END "
+      "AS x FROM r");
+  EXPECT_EQ(db_->PlanStatsTotals().queries_planned - before, 1u);
+  EXPECT_EQ(IntColumn(*res), (std::vector<int64_t>{0, 0, 0, 0}));
+  EXPECT_EQ(db_->QueryScalarDouble("SELECT COUNT(*) AS c FROM r WHERE a < 2 "
+                                   "AND b IN (SELECT c FROM s WHERE a = 1)"),
+            1.0);
+}
+
+TEST(SqlRoundTripTest, RowValueInRoundTrips) {
+  const char* exprs[] = {
+      "(a, b) IN (SELECT a, b FROM t)",
+      "(t.a, (b + 1)) NOT IN (SELECT a, b FROM t WHERE c > 2)",
+      "(x > 1) AND ((a, b, c) IN (SELECT a, b, c FROM m))",
+  };
+  for (const char* text : exprs) {
+    SCOPED_TRACE(text);
+    std::string printed = sql::ToSql(*sql::ParseExpr(text));
+    EXPECT_EQ(printed, sql::ToSql(*sql::ParseExpr(printed)));
+  }
+  sql::ExprPtr e = sql::ParseExpr("(a, b) NOT IN (SELECT a, b FROM t)");
+  ASSERT_EQ(e->kind, sql::ExprKind::kInSubquery);
+  EXPECT_EQ(e->args.size(), 2u);
+  EXPECT_TRUE(e->negated);
+  // A parenthesized list is only a row value in front of IN (SELECT ...).
+  EXPECT_THROW(sql::Parse("SELECT (a, b) FROM r"), sql::ParseError);
+  EXPECT_THROW(sql::Parse("SELECT a FROM r WHERE (a, b) = (1, 2)"),
+               sql::ParseError);
+  EXPECT_THROW(sql::Parse("SELECT a FROM r WHERE (a, b) IN (1, 2)"),
+               sql::ParseError);
+}
+
 TEST(SqlRoundTripTest, ParsePrintParse) {
   const char* queries[] = {
       "SELECT a, SUM(b) AS s FROM r GROUP BY a ORDER BY a DESC LIMIT 5",

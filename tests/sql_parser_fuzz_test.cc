@@ -42,6 +42,11 @@ const std::vector<std::string>& Corpus() {
       "CREATE TABLE x AS SELECT a % 3 AS m, a / 2 AS h FROM r",
       "CREATE OR REPLACE TABLE y AS SELECT * FROM r",
       "UPDATE f SET s = s - 1.5, q = q + 2.25 WHERE d IN (SELECT d FROM m)",
+      "CREATE TABLE t1 AS SELECT CASE WHEN (x <= 0.5) AND k IN (SELECT k FROM "
+      "m1) AND (a, b) IN (SELECT a, b FROM m2) THEN s - 0.25 WHEN k IN "
+      "(SELECT k FROM m1) THEN s + 1.0 ELSE s END AS s FROM f",
+      "SELECT COUNT(*) AS c FROM f WHERE (f.a, (b + 1), 'x') NOT IN "
+      "(SELECT a, b, c FROM m WHERE a > 2)",
       "DROP TABLE IF EXISTS msgs;",
       "EXPLAIN ANALYZE SELECT a FROM r -- trailing comment\n WHERE a > 1",
   };
