@@ -2,12 +2,11 @@
 // of imputed features grows (5 -> 50); LightGBM slows superlinearly and runs
 // out of memory at the widest setting.
 //
-// PR 4 extends the figure with a batched-vs-per-feature split-evaluation
-// sweep: the per-feature path issues one absorption query per feature per
-// leaf, the batched path one GROUPING SETS histogram query per relation per
-// leaf (threshold enumeration in C++). The sweep's timings and deterministic
-// counters (split queries, grouping sets, cells decompressed) are written to
-// BENCH_PR4.json — a CI artifact guarded by tools/compare_bench.py.
+// A second sweep trains with the split search (one GROUPING SETS histogram
+// query per relation per leaf, threshold enumeration in C++) and writes its
+// timings and deterministic counters (split queries, grouping sets, message
+// queries, cells decompressed) to BENCH_PR4.json — a CI artifact guarded by
+// tools/compare_bench.py.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -30,45 +29,33 @@ namespace {
 struct SweepPoint {
   size_t features = 0;
   double batched_seconds = 0;
-  double per_feature_seconds = 0;
   size_t batched_split_queries = 0;
-  size_t per_feature_split_queries = 0;
   size_t grouping_sets = 0;
   size_t batched_cells_decompressed = 0;
-  size_t per_feature_cells_decompressed = 0;
   size_t message_queries = 0;
 };
 
 SweepPoint RunSweepPoint(size_t rows, int extra, int iters) {
   SweepPoint point;
-  for (int batched = 0; batched < 2; ++batched) {
-    jb::data::FavoritaConfig config;
-    config.sales_rows = rows;
-    config.extra_features_per_dim = extra;
-    jb::exec::Database db(jb::EngineProfile::DSwap());
-    jb::Dataset ds = jb::data::MakeFavorita(&db, config);
-    point.features = ds.graph().AllFeatures().size();
+  jb::data::FavoritaConfig config;
+  config.sales_rows = rows;
+  config.extra_features_per_dim = extra;
+  jb::exec::Database db(jb::EngineProfile::DSwap());
+  jb::Dataset ds = jb::data::MakeFavorita(&db, config);
+  point.features = ds.graph().AllFeatures().size();
 
-    jb::core::TrainParams params;
-    params.boosting = "gbdt";
-    params.num_iterations = iters;
-    params.num_leaves = 8;
-    params.batch_split_evaluation = batched == 1;
-    db.ClearPlanStats();
-    jb::TrainResult res = jb::Train(params, ds);
-    jb::plan::PlanStats stats = db.PlanStatsTotals();
-    if (batched == 1) {
-      point.batched_seconds = res.seconds;
-      point.batched_split_queries = res.feature_queries;
-      point.grouping_sets = stats.grouping_sets;
-      point.batched_cells_decompressed = stats.cells_decompressed;
-      point.message_queries = res.message_queries;
-    } else {
-      point.per_feature_seconds = res.seconds;
-      point.per_feature_split_queries = res.feature_queries;
-      point.per_feature_cells_decompressed = stats.cells_decompressed;
-    }
-  }
+  jb::core::TrainParams params;
+  params.boosting = "gbdt";
+  params.num_iterations = iters;
+  params.num_leaves = 8;
+  db.ClearPlanStats();
+  jb::TrainResult res = jb::Train(params, ds);
+  jb::plan::PlanStats stats = db.PlanStatsTotals();
+  point.batched_seconds = res.seconds;
+  point.batched_split_queries = res.feature_queries;
+  point.grouping_sets = stats.grouping_sets;
+  point.batched_cells_decompressed = stats.cells_decompressed;
+  point.message_queries = res.message_queries;
   return point;
 }
 
@@ -90,13 +77,8 @@ void WriteJson(const std::vector<SweepPoint>& sweep, size_t rows, int iters) {
                jb::bench::Scale(), rows, iters);
   for (size_t i = 0; i < sweep.size(); ++i) {
     const SweepPoint& p = sweep[i];
-    double speedup = p.batched_seconds > 0
-                         ? p.per_feature_seconds / p.batched_seconds
-                         : 0.0;
-    std::fprintf(f,
-                 "    {\"features\": %zu, \"batched_seconds\": %.4f, "
-                 "\"per_feature_seconds\": %.4f, \"speedup\": %.3f}%s\n",
-                 p.features, p.batched_seconds, p.per_feature_seconds, speedup,
+    std::fprintf(f, "    {\"features\": %zu, \"batched_seconds\": %.4f}%s\n",
+                 p.features, p.batched_seconds,
                  i + 1 < sweep.size() ? "," : "");
   }
   // Deterministic counters, one flat object for the CI regression guard.
@@ -105,13 +87,11 @@ void WriteJson(const std::vector<SweepPoint>& sweep, size_t rows, int iters) {
     const SweepPoint& p = sweep[i];
     std::fprintf(f,
                  "    \"split_queries_batched_w%zu\": %zu,\n"
-                 "    \"split_queries_per_feature_w%zu\": %zu,\n"
                  "    \"grouping_sets_w%zu\": %zu,\n"
                  "    \"message_queries_w%zu\": %zu,\n"
                  "    \"cells_decompressed_batched_w%zu\": %zu%s\n",
                  p.features, p.batched_split_queries, p.features,
-                 p.per_feature_split_queries, p.features, p.grouping_sets,
-                 p.features, p.message_queries, p.features,
+                 p.grouping_sets, p.features, p.message_queries, p.features,
                  p.batched_cells_decompressed,
                  i + 1 < sweep.size() ? "," : "");
   }
@@ -168,19 +148,16 @@ int main() {
     }
   }
 
-  // ---- PR 4 sweep: batched vs per-feature split evaluation ----
-  std::printf("\n  -- batched vs per-feature split evaluation --\n");
+  // ---- split-search sweep: counters by feature count ----
+  std::printf("\n  -- split search by feature count --\n");
   const int sweep_iters = 5;
   std::vector<SweepPoint> sweep;
   for (int extra : extras) {
     SweepPoint p = RunSweepPoint(rows, extra, sweep_iters);
     Row("batched     features=" + std::to_string(p.features),
         p.batched_seconds);
-    Row("per-feature features=" + std::to_string(p.features),
-        p.per_feature_seconds);
     Note("split queries: " + std::to_string(p.batched_split_queries) +
-         " batched vs " + std::to_string(p.per_feature_split_queries) +
-         " per-feature");
+         ", grouping sets: " + std::to_string(p.grouping_sets));
     sweep.push_back(p);
   }
   WriteJson(sweep, rows, sweep_iters);

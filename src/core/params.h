@@ -42,15 +42,9 @@ struct TrainParams {
   /// else create).
   std::string update_strategy = "auto";
 
-  /// Inter-query parallelism (§5.5.3): run independent split queries and
-  /// forest trees concurrently.
+  /// Inter-query parallelism (§5.5.3): run a leaf's split queries (one per
+  /// relation carrying features) and forest trees concurrently.
   bool inter_query_parallelism = false;
-
-  /// Batched split evaluation: collapse per-leaf split search from one query
-  /// per feature to one GROUPING SETS histogram query per relation, with
-  /// threshold enumeration in a C++ kernel (bit-identical to the per-feature
-  /// SQL path, which stays available for differential testing).
-  bool batch_split_evaluation = true;
 
   /// Trainer variant (Fig 16a): "factorized" (JoinBoost), "batch" (per-node
   /// batches, no cross-node message caching — the LMFAO proxy), or "naive"

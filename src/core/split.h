@@ -2,13 +2,14 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
-#include "factor/message_passing.h"
+#include "storage/types.h"
 
 namespace joinboost {
 namespace core {
 
-/// A candidate split returned by the best-split SQL of one feature.
+/// A leaf's best split over one feature, as the split kernel found it.
 struct SplitCandidate {
   bool valid = false;
   std::string feature;
@@ -37,8 +38,8 @@ ChildPredicates SplitPredicates(const std::string& feature, bool categorical,
                                 double threshold, const std::string& category,
                                 bool holds_null);
 
-/// Constants of the node being split, baked into the criterion SQL just as
-/// the paper substitutes {$stotal}/{$ctotal} (Example 2).
+/// Constants of the node being split: its totals (the paper's
+/// {$stotal}/{$ctotal}, Example 2), λ and the per-side bound.
 struct CriterionParams {
   double c_total = 0;
   double s_total = 0;
@@ -47,55 +48,46 @@ struct CriterionParams {
   bool halved = false;       ///< 0.5 factor of the boosting gain
 };
 
-/// Criterion expression over columns `c`/`s` of the aggregated subquery:
-///   [0.5·]((s/(c+λ))·s + ((S−s)/(C−c+λ))·(S−s) − (S/(C+λ))·S)
-/// computed as (s/c)*s to avoid overflow (Appendix A).
-std::string CriterionSql(const CriterionParams& p);
-
-/// Complete best-split query for a numeric feature (Example 2 shape):
-/// group-by → window prefix sums → criterion → ORDER BY criteria DESC LIMIT 1.
-std::string NumericBestSplitSql(const std::string& attr,
-                                const factor::Factorizer::AbsorptionParts& abs,
-                                const CriterionParams& p);
-
-/// Best-split query for a categorical feature (equality split, no window).
-std::string CategoricalBestSplitSql(
-    const std::string& attr, const factor::Factorizer::AbsorptionParts& abs,
-    const CriterionParams& p);
-
-// ---- batched split evaluation (one histogram query per relation) ----
-
 /// One (value, c, s) bin of a feature histogram, in aggregation (group
-/// first-occurrence) order — exactly the rows the batched GROUPING SETS
-/// query emits for one feature.
+/// first-occurrence) order: the rows a leaf's GROUPING SETS histogram query
+/// emits for one feature.
 struct HistogramEntry {
   Value val;
   Value c;
   Value s;
 };
 
-/// Winning row of the threshold enumeration over one histogram. `criteria`
-/// may be NaN/inf — the caller invalidates such candidates, exactly like the
-/// consumer of the per-feature SQL result does.
+/// Winning bin of the threshold enumeration over one histogram. `criteria`
+/// may be NaN or infinite; the trainer drops such a feature.
 struct HistogramSplit {
-  bool valid = false;  ///< some bin passed the bounds predicate
+  bool valid = false;  ///< some bin passed the bounds
   Value val;
   double c = 0;
   double s = 0;
   double criteria = 0;
 };
 
-/// Criterion over cumulative (c, s): mirrors CriterionSql() operation for
-/// operation — including SQL division-by-zero → NULL (NaN) — so the batched
-/// C++ kernel produces bit-identical gains to the SQL expression evaluator.
+/// Split criterion over the selected side's (c, s):
+///   [0.5·]((s/(c+λ))·s + ((S−s)/(C−c+λ))·(S−s) − (S/(C+λ))·S)
+/// computed as (s/c)·s to avoid overflow (Appendix A). A division by zero
+/// yields NaN, a NULL criterion.
 double CriterionValue(double c, double s, const CriterionParams& p);
 
-/// Threshold enumeration over one feature's histogram: the C++ twin of the
-/// per-feature best-split SQL. Numeric features get the window-style prefix
-/// sums (stable sort by value, running sums in that order); both kinds then
-/// apply the bounds predicate, the criterion and the ORDER BY criteria DESC
-/// LIMIT 1 argmax (first row wins ties; NULL criteria sorts first under
-/// DESC, as in SortExec). Bit-identical to executing the SQL.
+/// Threshold enumeration over one feature's histogram. Its rules:
+///  - NULL: a bin whose value is NULL (the int sentinel or NaN) is neither
+///    summed nor a candidate. Its rows stay in `c_total`/`s_total`, so the
+///    right child (parent − left) holds them, as SplitPredicates and
+///    TreeModel::Predict route them.
+///  - Sums: a numeric feature's bins are stable-sorted by value (ints as
+///    doubles) and summed in that order (`f <= v`); a categorical bin
+///    stands alone (`f = v`). A bin passes when min_leaf <= c <= C −
+///    min_leaf.
+///  - Order: bins are scanned in histogram order, and a later bin wins only
+///    with a strictly greater criterion, so ties keep the first. A NULL
+///    criterion (division by zero) wins over every finite one and keeps the
+///    first such bin.
+/// The tie and NULL-criterion orders are those of the per-feature split
+/// SQL this kernel replaced, so earlier models keep their bits.
 HistogramSplit BestSplitFromHistogram(const std::vector<HistogramEntry>& bins,
                                       bool categorical,
                                       const CriterionParams& p);

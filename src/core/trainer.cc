@@ -26,8 +26,8 @@ bool TreeGrower::IsCategorical(int rel, const std::string& feature) const {
 SplitCandidate TreeGrower::BestSplit(const LeafState& leaf,
                                      const std::vector<std::string>& features,
                                      const std::vector<int>* allowed) {
-  // Group features by their relation so each relation's messages and
-  // absorption fragment are built once (message work-sharing).
+  // Group features by their relation: one histogram query per relation,
+  // whose messages and absorption are built once (message work-sharing).
   std::map<int, std::vector<std::string>> by_rel;
   for (const auto& f : features) {
     int rel = fac_->graph().RelationOfFeature(f);
@@ -46,92 +46,6 @@ SplitCandidate TreeGrower::BestSplit(const LeafState& leaf,
   crit.min_leaf = params_.min_data_in_leaf;
   crit.halved = true;
 
-  if (params_.batch_split_evaluation) {
-    return BestSplitBatched(by_rel, leaf, crit);
-  }
-
-  // Phase 1 (serial): ensure messages exist for every root relation — all
-  // of the leaf's messages are requested at once so same-input misses share
-  // a scan. The factorizer serializes materialization on its own mutex;
-  // keeping this phase serial here preserves deterministic temp-table
-  // naming. Split queries below are read-only.
-  struct Job {
-    int rel;
-    std::string feature;
-    bool categorical;
-    std::string sql;
-  };
-  std::vector<int> rels;
-  for (const auto& entry : by_rel) rels.push_back(entry.first);
-  std::vector<factor::Factorizer::AbsorptionParts> absorptions =
-      fac_->BuildAbsorptions(rels, leaf.preds, "message");
-  std::vector<Job> jobs;
-  size_t r = 0;
-  for (const auto& [rel, feats] : by_rel) {
-    const factor::Factorizer::AbsorptionParts& parts = absorptions[r++];
-    for (const auto& f : feats) {
-      Job job;
-      job.rel = rel;
-      job.feature = f;
-      job.categorical = IsCategorical(rel, f);
-      job.sql = job.categorical ? CategoricalBestSplitSql(f, parts, crit)
-                                : NumericBestSplitSql(f, parts, crit);
-      jobs.push_back(std::move(job));
-    }
-  }
-
-  // Phase 2: run the per-feature best-split queries (optionally in
-  // parallel — inter-query parallelism, §5.5.3).
-  std::vector<SplitCandidate> candidates(jobs.size());
-  auto run_one = [&](size_t i) {
-    const Job& job = jobs[i];
-    auto res = fac_->db()->Query(job.sql, "feature");
-    SplitCandidate cand;
-    if (res->rows >= 1) {
-      Value val = res->GetValue(0, 0);
-      Value c = res->GetValue(0, 1);
-      Value s = res->GetValue(0, 2);
-      Value criteria = res->GetValue(0, 3);
-      double gain = criteria.AsDouble();
-      if (std::isfinite(gain) && !val.null) {
-        cand.valid = true;
-        cand.feature = job.feature;
-        cand.relation = job.rel;
-        cand.categorical = job.categorical;
-        cand.gain = gain;
-        cand.c_left = c.AsDouble();
-        cand.s_left = s.AsDouble();
-        if (job.categorical) {
-          cand.category = val.i;
-          cand.category_str = val.s;
-        } else {
-          cand.threshold = val.AsDouble();
-        }
-      }
-    }
-    candidates[i] = std::move(cand);
-  };
-  split_queries_ += jobs.size();
-  if (params_.inter_query_parallelism && jobs.size() > 1) {
-    fac_->db()->pool().ParallelFor(jobs.size(), run_one);
-  } else {
-    for (size_t i = 0; i < jobs.size(); ++i) run_one(i);
-  }
-
-  SplitCandidate best;
-  double best_gain = std::max(params_.min_gain, 1e-12);
-  for (auto& cand : candidates) {
-    if (cand.valid && cand.gain > best_gain) {
-      best_gain = cand.gain;
-      best = std::move(cand);
-    }
-  }
-  return best;
-}
-
-SplitCandidate TreeGrower::BestSplitBatched(
-    const std::map<int, std::vector<std::string>>& by_rel,
-    const LeafState& leaf, const CriterionParams& crit) {
   // Phase 1 (serial): compose one GROUPING SETS histogram query per
   // relation. The factorizer materializes every missing message of the leaf
   // first (serialized by its internal mutex; kept serial here for
@@ -187,8 +101,7 @@ SplitCandidate TreeGrower::BestSplitBatched(
       HistogramSplit hs =
           BestSplitFromHistogram(hists[fi], job.categorical[fi], crit);
       SplitCandidate cand;
-      // Same validity rules as the per-feature result consumer.
-      if (hs.valid && std::isfinite(hs.criteria) && !hs.val.null) {
+      if (hs.valid && std::isfinite(hs.criteria)) {
         cand.valid = true;
         cand.feature = feats[fi];
         cand.relation = job.rel;
@@ -214,8 +127,8 @@ SplitCandidate TreeGrower::BestSplitBatched(
   }
   fac_->ReleaseShared(leaf_hists);
 
-  // Merge in (relation, feature) order — the per-feature path's candidate
-  // order — with the same strict-greater comparison and floor.
+  // Merge in (relation, feature) order; a later candidate wins only with a
+  // strictly greater gain, and none wins below the floor.
   SplitCandidate best;
   double best_gain = std::max(params_.min_gain, 1e-12);
   for (auto& job : jobs) {
@@ -257,7 +170,6 @@ GrowthResult TreeGrower::Grow(const std::vector<std::string>& features,
   int num_leaves = 1;
   if (total.c > 0) {
     leaves[0].best = BestSplit(leaves[0], features, allowed);
-    leaves[0].evaluated = true;
   }
 
   const bool depth_wise = params_.growth == "depth_wise";
@@ -342,13 +254,13 @@ GrowthResult TreeGrower::Grow(const std::vector<std::string>& features,
 
     // Algorithm 1 (L8-9) computes GetBestSplit for both children as soon as
     // the parent splits, before the loop condition is re-checked — which is
-    // why the paper counts num_nodes x num_features split queries (Fig 9).
+    // why the paper counts num_nodes x num_features split queries (Fig 9);
+    // here it is num_nodes x relations carrying features.
     bool depth_ok = params_.max_depth < 0 || left.depth < params_.max_depth;
     if (depth_ok) {
       left.best = BestSplit(left, features, allowed);
       right.best = BestSplit(right, features, allowed);
     }
-    left.evaluated = right.evaluated = true;
     leaves.push_back(std::move(left));
     leaves.push_back(std::move(right));
   }

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -27,9 +26,11 @@ struct GrowthResult {
   int first_split_relation = -1;  ///< drives CPT cluster selection (§4.2.2)
 };
 
-/// Algorithm 1: grows one decision tree by repeatedly invoking the
-/// best-split SQL per feature via the factorizer. Growth is best-first
-/// (priority queue on criterion reduction) or depth-wise.
+/// Algorithm 1: grows one decision tree. Each leaf's split search runs one
+/// GROUPING SETS histogram query per relation carrying features (built by
+/// the factorizer) and enumerates thresholds in the C++ split kernel
+/// (split.h). Growth is best-first (priority queue on criterion reduction)
+/// or depth-wise.
 class TreeGrower {
  public:
   TreeGrower(factor::Factorizer* fac, const TrainParams& params);
@@ -41,9 +42,8 @@ class TreeGrower {
   GrowthResult Grow(const std::vector<std::string>& features, int agg_root,
                     const std::vector<int>* clusters);
 
-  /// Number of best-split queries issued so far (Fig 9 instrumentation).
-  /// Per-feature path: one per (leaf, feature). Batched path: one per
-  /// (leaf, relation carrying candidate features).
+  /// Number of split queries issued so far (Fig 9 instrumentation): one
+  /// per (leaf, relation carrying candidate features).
   size_t split_queries() const { return split_queries_; }
 
  private:
@@ -53,18 +53,11 @@ class TreeGrower {
     factor::PredicateSet preds;
     double c = 0, s = 0;
     SplitCandidate best;
-    bool evaluated = false;
   };
 
   SplitCandidate BestSplit(const LeafState& leaf,
                            const std::vector<std::string>& features,
                            const std::vector<int>* allowed);
-  /// Batched path: one GROUPING SETS histogram query per relation, threshold
-  /// enumeration in C++ (split.cc). Candidate comparison order matches the
-  /// per-feature path exactly, so results are bit-identical.
-  SplitCandidate BestSplitBatched(
-      const std::map<int, std::vector<std::string>>& by_rel,
-      const LeafState& leaf, const CriterionParams& crit);
   bool IsCategorical(int rel, const std::string& feature) const;
 
   factor::Factorizer* fac_;

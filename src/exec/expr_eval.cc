@@ -230,8 +230,10 @@ VectorData EvalOnRows(const sql::Expr& e, const ExecTable& input,
 
 /// CASE on selection vectors: WHEN p runs only on the rows no earlier WHEN
 /// matched, THEN p only on the rows WHEN p matched, ELSE on the rest. The
-/// result is double when any THEN/ELSE branch is double, else int; a row
-/// no branch covers is NULL.
+/// result is a string over one dictionary when any THEN/ELSE branch is a
+/// string (every other branch must then be a string or a NULL literal),
+/// else double when any branch is double, else int; a row no branch covers
+/// is NULL.
 VectorData EvalCase(const sql::Expr& e, const ExecTable& input,
                     EvalContext& ctx) {
   const size_t rows = input.rows;
@@ -258,8 +260,39 @@ VectorData EvalCase(const sql::Expr& e, const ExecTable& input,
   VectorData else_val;
   if (e.has_else) else_val = EvalOnRows(*e.args.back(), input, rest, ctx);
 
-  bool as_double = e.has_else && else_val.type == TypeId::kFloat64;
-  for (const auto& v : vals) as_double |= v.type == TypeId::kFloat64;
+  bool as_string = false, as_double = false, as_other = false;
+  auto classify = [&](const VectorData& v, const sql::Expr& branch) {
+    as_string |= v.type == TypeId::kString;
+    as_double |= v.type == TypeId::kFloat64;
+    as_other |= v.type != TypeId::kString &&
+                branch.kind != sql::ExprKind::kNullLiteral;
+  };
+  for (size_t p = 0; p < pairs; ++p) classify(vals[p], *e.args[2 * p + 1]);
+  if (e.has_else) classify(else_val, *e.args.back());
+  JB_CHECK_MSG(!(as_string && as_other),
+               "CASE mixes string and non-string results: " << sql::ToSql(e));
+  DictionaryPtr dict;
+  if (as_string) {
+    // One dictionary for the result: each branch's codes are remapped into
+    // it, and a NULL branch becomes NULL codes.
+    dict = std::make_shared<Dictionary>();
+    auto recode = [&](VectorData* v) {
+      std::vector<int64_t> codes(v->size(), kNullInt64);
+      if (v->type == TypeId::kString) {
+        std::vector<int64_t> map(v->dict->size(), kNullInt64);
+        const auto& src = v->Ints();
+        for (size_t k = 0; k < src.size(); ++k) {
+          if (src[k] == kNullInt64) continue;
+          int64_t& to = map[static_cast<size_t>(src[k])];
+          if (to == kNullInt64) to = dict->GetOrAdd(v->dict->At(src[k]));
+          codes[k] = to;
+        }
+      }
+      *v = VectorData::FromCodes(std::move(codes), dict);
+    };
+    for (auto& v : vals) recode(&v);
+    if (e.has_else) recode(&else_val);
+  }
   // Scatter each branch's values back to its rows.
   auto scatter = [&](auto* out, auto value_at) {
     for (size_t p = 0; p < pairs; ++p) {
@@ -273,7 +306,7 @@ VectorData EvalCase(const sql::Expr& e, const ExecTable& input,
       (*out)[rest ? (*rest)[k] : k] = value_at(else_val, k);
     }
   };
-  if (as_double) {
+  if (as_double && !as_string) {  // a string CASE's doubles are NULLs
     std::vector<double> out(rows, NullFloat64());
     scatter(&out, [](const VectorData& v, size_t k) {
       return NullSafeToDouble(v, k);
@@ -282,6 +315,7 @@ VectorData EvalCase(const sql::Expr& e, const ExecTable& input,
   }
   std::vector<int64_t> out(rows, kNullInt64);
   scatter(&out, [](const VectorData& v, size_t k) { return v.Ints()[k]; });
+  if (as_string) return VectorData::FromCodes(std::move(out), dict);
   return VectorData::FromInts(std::move(out));
 }
 

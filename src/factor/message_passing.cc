@@ -553,19 +553,10 @@ void Factorizer::DropOwned(const std::string& table) {
 
 Factorizer::AbsorptionParts Factorizer::BuildAbsorption(
     int root, const PredicateSet& preds, const std::string& tag) {
-  return BuildAbsorptions({root}, preds, tag)[0];
-}
-
-std::vector<Factorizer::AbsorptionParts> Factorizer::BuildAbsorptions(
-    const std::vector<int>& roots, const PredicateSet& preds,
-    const std::string& tag) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   try {
-    std::vector<AbsorptionParts> parts;
-    parts.reserve(roots.size());
-    for (int root : roots) {
-      parts.push_back(Absorption(root, PlanIncoming(root, preds, tag), preds));
-    }
+    AbsorptionParts parts =
+        Absorption(root, PlanIncoming(root, preds, tag), preds);
     Flush(tag, nullptr, nullptr);
     return parts;
   } catch (...) {
@@ -617,8 +608,7 @@ LeafHistograms Factorizer::BatchedHistograms(
       PendingHistogram& h = hists[i];
       h.attrs = &reqs[i].attrs;
       h.parts = Absorption(reqs[i].root, msgs, preds);
-      // No q column: the split criterion only needs (c, s) — §5.3.1 — and
-      // the per-feature split SQL computes no q either.
+      // No q column: the split criterion only needs (c, s) — §5.3.1.
       h.sums = {"SUM(" + h.parts.c_expr + ") AS c",
                 "SUM(" + h.parts.s_expr + ") AS s"};
       const TablePtr table = db_->catalog().Get(binding(reqs[i].root).table);

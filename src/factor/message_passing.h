@@ -140,19 +140,15 @@ class Factorizer {
     std::string s_expr;
     std::string q_expr;  ///< empty unless track_q
   };
+  /// The root's missing messages are planned first and then materialized
+  /// together, so same-input misses share one scan.
   AbsorptionParts BuildAbsorption(int root, const PredicateSet& preds,
                                   const std::string& tag);
 
-  /// BuildAbsorption for several roots under one leaf's predicates: every
-  /// root's missing messages are planned before any is materialized, so
-  /// same-input misses share one scan.
-  std::vector<AbsorptionParts> BuildAbsorptions(const std::vector<int>& roots,
-                                                const PredicateSet& preds,
-                                                const std::string& tag);
-
-  /// Batched split evaluation: one histogram query per relation per leaf,
-  /// O(#relations) queries instead of O(#features). Builds every request's
-  /// absorption like BuildAbsorptions and returns, per request, a query whose
+  /// Split search: one histogram query per relation per leaf, O(#relations)
+  /// queries instead of O(#features). Builds every request's absorption
+  /// like BuildAbsorption, with the missing messages of all requests planned
+  /// before any is materialized, and returns, per request, a query whose
   /// rows with set_id = i form attribute i's (value, c, s) histogram (no q:
   /// the criterion needs only c and s). A request whose absorption has the
   /// input of the leaf's missing messages, over a relation of at least

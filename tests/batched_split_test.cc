@@ -1,8 +1,8 @@
-// Batched split evaluation (PR 4): the one-histogram-query-per-relation path
-// (GROUPING SETS + C++ threshold kernel) must be bit-identical to the
-// per-feature SQL path — full trains across {planner on/off} x {1, N
-// threads} — and must issue O(#relations) split queries per leaf. Plus unit
-// coverage of the BestSplitFromHistogram kernel's SQL-twin semantics.
+// Split search: one GROUPING SETS histogram query per relation per leaf and
+// a C++ threshold kernel. Full trains must pass the independent split oracle
+// (split_oracle.h) and be bit-identical across {planner on/off} x {1, N
+// threads}, and must issue one split query per relation per leaf. Plus unit
+// coverage of the BestSplitFromHistogram kernel's rules.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,6 +14,7 @@
 #include "core/split.h"
 #include "core/trainer.h"
 #include "joinboost.h"
+#include "split_oracle.h"
 #include "storage/table.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -118,41 +119,38 @@ void ExpectModelsBitIdentical(const core::Ensemble& a, const core::Ensemble& b,
   }
 }
 
-/// Full gbdt train: the batched path must reproduce the per-feature path
-/// bit for bit, with the planner on or off and for 1 or N threads.
-TEST(BatchedSplitTest, BatchedMatchesPerFeatureBitIdentical) {
+/// Full gbdt trains with the planner on or off and for 1 or N threads: each
+/// model passes the split oracle and is bit-identical to the first one.
+TEST(BatchedSplitTest, ConfigsAgreeAndPassSplitOracle) {
   struct Config {
     bool planner;
     int threads;
   };
   const Config configs[] = {{true, 1}, {true, 4}, {false, 1}, {false, 4}};
+  core::Ensemble first;
   for (const Config& c : configs) {
     std::string label = std::string("planner=") + (c.planner ? "on" : "off") +
                         " threads=" + std::to_string(c.threads);
-    core::Ensemble models[2];
-    size_t queries[2] = {0, 0};
-    for (int batched = 0; batched < 2; ++batched) {
-      Database db(Profile(c.planner, c.threads));
-      BuildCatSnowflake(&db, /*seed=*/2024, /*rows=*/4000);
-      Dataset ds = MakeCatDataset(&db);
-      core::TrainParams params;
-      params.boosting = "gbdt";
-      params.num_iterations = 3;
-      params.num_leaves = 5;
-      params.batch_split_evaluation = batched == 1;
-      TrainResult res = Train(params, ds);
-      models[batched] = std::move(res.model);
-      queries[batched] = res.feature_queries;
+    Database db(Profile(c.planner, c.threads));
+    BuildCatSnowflake(&db, /*seed=*/2024, /*rows=*/4000);
+    Dataset ds = MakeCatDataset(&db);
+    core::TrainParams params;
+    params.boosting = "gbdt";
+    params.num_iterations = 3;
+    params.num_leaves = 5;
+    TrainResult res = Train(params, ds);
+    EXPECT_TRUE(split_oracle::CheckModel(res.model, ds, params)) << label;
+    if (&c == &configs[0]) {
+      first = std::move(res.model);
+    } else {
+      ExpectModelsBitIdentical(first, res.model, label);
     }
-    ExpectModelsBitIdentical(models[0], models[1], label);
-    EXPECT_LT(queries[1], queries[0])
-        << label << ": batching should issue fewer split queries";
   }
 }
 
-/// Regression pin: with batching, split queries per leaf evaluation equal
-/// the number of relations carrying candidate features, not the number of
-/// features (TreeGrower::split_queries()).
+/// Regression pin: split queries per leaf evaluation equal the number of
+/// relations carrying candidate features, not the number of features
+/// (TreeGrower::split_queries()).
 TEST(BatchedSplitTest, SplitQueriesPerLeafIsRelationCount) {
   Database db(Profile(/*use_planner=*/true, /*threads=*/1));
   BuildCatSnowflake(&db, /*seed=*/7, /*rows=*/2000);
@@ -162,60 +160,55 @@ TEST(BatchedSplitTest, SplitQueriesPerLeafIsRelationCount) {
   for (const auto& f : features) rels.insert(ds.graph().RelationOfFeature(f));
   ASSERT_GT(features.size(), rels.size()) << "need multi-feature relations";
 
-  for (int batched = 0; batched < 2; ++batched) {
-    core::TrainParams params;
-    params.boosting = "gbdt";
-    params.num_leaves = 2;
-    params.max_depth = 1;  // children at depth 1 are never evaluated
-    params.num_iterations = 1;
-    params.batch_split_evaluation = batched == 1;
-    core::Session session(&ds, params);
-    session.Prepare();
-    core::TreeGrower grower(&session.fac(), params);
-    grower.Grow(features, session.y_fact(), nullptr);
-    // Exactly one leaf (the root) is evaluated: split_queries() is the
-    // per-leaf query count.
-    size_t per_leaf = grower.split_queries();
-    if (batched == 1) {
-      EXPECT_EQ(per_leaf, rels.size());
-    } else {
-      EXPECT_EQ(per_leaf, features.size());
-    }
-    session.Cleanup();
-  }
+  core::TrainParams params;
+  params.boosting = "gbdt";
+  params.num_leaves = 2;
+  params.max_depth = 1;  // children at depth 1 are never evaluated
+  params.num_iterations = 1;
+  core::Session session(&ds, params);
+  session.Prepare();
+  core::TreeGrower grower(&session.fac(), params);
+  grower.Grow(features, session.y_fact(), nullptr);
+  // Exactly one leaf (the root) is evaluated: split_queries() is the
+  // per-leaf query count.
+  EXPECT_EQ(grower.split_queries(), rels.size());
+  session.Cleanup();
 }
 
 /// On a fact large enough for its histogram to join the leaf's shared
-/// message scan, the batched path (histogram read back from the shared
-/// table) must still match the per-feature path (which never shares one).
-TEST(BatchedSplitTest, SharedHistogramScanMatchesPerFeatureBitIdentical) {
+/// message scan (the histogram is read back from the shared table), every
+/// config's model passes the split oracle and matches the first one bit for
+/// bit.
+TEST(BatchedSplitTest, SharedHistogramScanPassesSplitOracle) {
   struct Config {
     bool planner;
     int threads;
   };
   const Config configs[] = {{true, 1}, {true, 4}, {false, 4}};
+  core::Ensemble first;
   for (const Config& c : configs) {
     std::string label = std::string("planner=") + (c.planner ? "on" : "off") +
                         " threads=" + std::to_string(c.threads);
-    core::Ensemble models[2];
+    Database db(Profile(c.planner, c.threads));
+    BuildCatSnowflake(&db, /*seed=*/99, /*rows=*/9000);
+    Dataset ds = MakeCatDataset(&db);
+    core::TrainParams params;
+    params.boosting = "gbdt";
+    params.num_iterations = 2;
+    params.num_leaves = 5;
+    core::Ensemble model = Train(params, ds).model;
     size_t shared_reads = 0;
-    for (int batched = 0; batched < 2; ++batched) {
-      Database db(Profile(c.planner, c.threads));
-      BuildCatSnowflake(&db, /*seed=*/99, /*rows=*/9000);
-      Dataset ds = MakeCatDataset(&db);
-      core::TrainParams params;
-      params.boosting = "gbdt";
-      params.num_iterations = 2;
-      params.num_leaves = 5;
-      params.batch_split_evaluation = batched == 1;
-      models[batched] = Train(params, ds).model;
-      for (const auto& e : db.QueryLog()) {
-        const bool shared = e.sql.find("_sets WHERE") != std::string::npos;
-        if (e.tag == "feature" && shared) ++shared_reads;
-      }
+    for (const auto& e : db.QueryLog()) {
+      const bool shared = e.sql.find("_sets WHERE") != std::string::npos;
+      if (e.tag == "feature" && shared) ++shared_reads;
     }
-    ExpectModelsBitIdentical(models[0], models[1], label);
     EXPECT_GT(shared_reads, 0u) << label << ": no histogram shared a scan";
+    EXPECT_TRUE(split_oracle::CheckModel(model, ds, params)) << label;
+    if (&c == &configs[0]) {
+      first = std::move(model);
+    } else {
+      ExpectModelsBitIdentical(first, model, label);
+    }
   }
 }
 
@@ -270,15 +263,19 @@ TEST(BatchedSplitTest, QuotedCategoriesTrainLikeQuoteFreeOnes) {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel unit tests: SQL-twin semantics of BestSplitFromHistogram.
+// Kernel unit tests: the rules of BestSplitFromHistogram (core/split.h).
 // ---------------------------------------------------------------------------
 
-core::HistogramEntry Bin(double val, double c, double s) {
+core::HistogramEntry Bin(Value val, double c, double s) {
   core::HistogramEntry e;
-  e.val = Value::Double(val);
+  e.val = std::move(val);
   e.c = Value::Double(c);
   e.s = Value::Double(s);
   return e;
+}
+
+core::HistogramEntry Bin(double val, double c, double s) {
+  return Bin(Value::Double(val), c, s);
 }
 
 TEST(BatchedSplitKernelTest, NumericPrefixSumsAndArgmax) {
@@ -310,8 +307,8 @@ TEST(BatchedSplitKernelTest, TiesKeepFirstBinInGroupOrder) {
   p.min_leaf = 1;
   p.halved = true;
   // Symmetric histogram: cumulative (1, -1) at val=1 and (3, 1) at val=3
-  // score identically (s^2/c + s^2/(C-c)); the stable DESC sort of the SQL
-  // path keeps the first row in group order — val=3 arrives first here.
+  // score identically (s^2/c + s^2/(C-c)); a later bin needs a strictly
+  // greater criterion, so the first in bin order wins — val=3 here.
   std::vector<core::HistogramEntry> bins = {Bin(3.0, 1, 1), Bin(1.0, 1, -1),
                                             Bin(2.0, 1, 1)};
   core::HistogramSplit hs = core::BestSplitFromHistogram(bins, false, p);
@@ -355,14 +352,55 @@ TEST(BatchedSplitKernelTest, DivisionByZeroMirrorsSqlNull) {
   p.lambda = 0;
   p.min_leaf = 0;  // lets c = 0 pass the bounds
   p.halved = true;
-  // c = 0 with lambda = 0 divides by zero: SQL yields NULL, and a NULL
-  // criteria row sorts first under ORDER BY ... DESC — the kernel must
-  // surface it (the trainer then rejects the non-finite candidate).
+  // c = 0 with lambda = 0 divides by zero: a NULL (NaN) criterion, which
+  // wins over every finite one — the kernel must surface it (the trainer
+  // then rejects the non-finite candidate).
   std::vector<core::HistogramEntry> bins = {Bin(1.0, 0, 1), Bin(2.0, 1, 1)};
   core::HistogramSplit hs = core::BestSplitFromHistogram(bins, false, p);
   ASSERT_TRUE(hs.valid);
   EXPECT_EQ(hs.val.d, 1.0);
   EXPECT_TRUE(std::isnan(hs.criteria));
+}
+
+/// A NULL bin (NaN or the int sentinel) is neither summed nor a candidate,
+/// wherever it arrives: its rows stay in the totals and go right.
+TEST(BatchedSplitKernelTest, NullBinsStayOutOfSumsAndCandidates) {
+  core::CriterionParams p;
+  p.c_total = 9;  // 5 of the 9 rows are NULL
+  p.s_total = 50;
+  p.min_leaf = 1;
+  p.halved = true;
+  for (const Value& null_val : {Value::Double(NullFloat64()),
+                                Value::Int(kNullInt64)}) {
+    for (size_t at = 0; at < 3; ++at) {
+      SCOPED_TRACE("NULL bin at " + std::to_string(at));
+      std::vector<core::HistogramEntry> bins = {Bin(1.0, 2, 2),
+                                                Bin(2.0, 2, 0)};
+      bins.insert(bins.begin() + static_cast<std::ptrdiff_t>(at),
+                  Bin(null_val, 5, 48));
+      core::HistogramSplit hs = core::BestSplitFromHistogram(bins, false, p);
+      ASSERT_TRUE(hs.valid);
+      // Cumulative (2, 2) at 1.0 and (4, 2) at 2.0; the NULL rows count in
+      // neither.
+      EXPECT_EQ(hs.val.d, 2.0);
+      EXPECT_EQ(hs.c, 4.0);
+      EXPECT_EQ(hs.s, 2.0);
+      EXPECT_EQ(hs.criteria, core::CriterionValue(4, 2, p));
+    }
+  }
+  // Categorical: the NULL bin scores best on its own, but the best non-NULL
+  // category must win instead of no split at all.
+  Value a = Value::Str("a"), b = Value::Str("b");
+  a.i = 0;
+  b.i = 1;
+  std::vector<core::HistogramEntry> bins = {
+      Bin(Value::Null(TypeId::kString), 5, 48), Bin(a, 2, 2), Bin(b, 2, 0)};
+  ASSERT_GT(core::CriterionValue(5, 48, p), core::CriterionValue(2, 0, p));
+  core::HistogramSplit hs = core::BestSplitFromHistogram(bins, true, p);
+  ASSERT_TRUE(hs.valid);
+  EXPECT_EQ(hs.val.s, "b");
+  EXPECT_EQ(hs.c, 2.0);
+  EXPECT_EQ(hs.criteria, core::CriterionValue(2, 0, p));
 }
 
 }  // namespace

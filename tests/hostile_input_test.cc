@@ -2,8 +2,10 @@
 
 #include <cmath>
 #include <string>
+#include <utility>
 
 #include "joinboost.h"
+#include "split_oracle.h"
 #include "test_util.h"
 
 namespace joinboost {
@@ -106,9 +108,12 @@ double ResidualSum(const core::Ensemble& model, size_t t,
 }
 
 /// d1 rebuilt with a categorical feature `c1` that is NULL for keys 5 and
-/// 6. The fact rows of category 'a' get a far larger target, so the first
-/// split is c1 = 'a' and the NULL rows belong to its right child.
-void AddNullCategory(exec::Database* db) {
+/// 6. With `null_signal` false, the fact rows of category 'a' get a far
+/// larger target, so the first split is c1 = 'a' and the NULL rows belong
+/// to its right child. With it true, the NULL rows get that target instead:
+/// the NULL bin scores best, yet no split can select it, so the best split
+/// is c1 = 'b' (NULL rows right, with 'a').
+void AddNullCategory(exec::Database* db, bool null_signal) {
   auto dict = std::make_shared<Dictionary>();
   std::vector<int64_t> keys, codes;
   for (int64_t k = 0; k < 17; ++k) {
@@ -124,30 +129,78 @@ void AddNullCategory(exec::Database* db) {
       ColumnBuilder(TypeId::kString, dict).AppendCodes(std::move(codes)).Build()};
   db->catalog().Drop("d1");
   db->RegisterTable(std::make_shared<Table>("d1", schema, std::move(cols)));
-  db->Execute("UPDATE fact SET y = y + 50 WHERE k1 IN (0, 3, 9, 12, 15)");
+  db->Execute(null_signal
+                  ? "UPDATE fact SET y = y + 50 WHERE k1 IN (5, 6)"
+                  : "UPDATE fact SET y = y + 50 WHERE k1 IN (0, 3, 9, 12, 15)");
+}
+
+/// fact rebuilt with an int64 feature `xi` = floor(10·x0) that is NULL on
+/// every fifth row; those rows get a far larger target.
+void AddNullInt(exec::Database* db) {
+  auto res = db->Query("SELECT k1, k2, x0, y FROM fact");
+  std::vector<int64_t> k1, k2, xi;
+  std::vector<double> x0, y;
+  for (size_t r = 0; r < res->rows; ++r) {
+    const bool null = r % 5 == 0;
+    k1.push_back(res->GetValue(r, 0).i);
+    k2.push_back(res->GetValue(r, 1).i);
+    x0.push_back(res->GetValue(r, 2).d);
+    xi.push_back(null ? kNullInt64
+                      : static_cast<int64_t>(std::floor(10 * x0.back())));
+    y.push_back(res->GetValue(r, 3).d + (null ? 50 : 0));
+  }
+  db->catalog().Drop("fact");
+  db->RegisterTable(TableBuilder("fact")
+                        .AddInts("k1", k1)
+                        .AddInts("k2", k2)
+                        .AddDoubles("x0", x0)
+                        .AddInts("xi", xi)
+                        .AddDoubles("y", y)
+                        .Build());
 }
 
 TEST(HostileInputTest, NullFeatureRowsKeepTheirResidual) {
   // TreeModel::Predict sends a NULL feature right, and the right child's
   // (c, s) is parent − left, so the SQL of the right child must admit the
   // NULL rows too; otherwise they keep a stale residual and every later
-  // tree starts from the wrong sums.
-  for (bool categorical : {false, true}) {
+  // tree starts from the wrong sums. The split kernel must leave the NULL
+  // rows out of every left side and out of the candidates, which the split
+  // oracle checks node by node.
+  enum class Input { kNanDouble, kNullInt, kNullCategory, kNullCategoryBest };
+  const std::pair<Input, const char*> inputs[] = {
+      {Input::kNanDouble, "float64 NaN"},
+      {Input::kNullInt, "int64 NULL"},
+      {Input::kNullCategory, "categorical NULL"},
+      {Input::kNullCategoryBest, "categorical NULL scoring best"}};
+  for (const auto& [input, name] : inputs) {
     for (const char* strategy : {"swap", "create", "update", "naive_u"}) {
-      SCOPED_TRACE(std::string(categorical ? "categorical " : "numeric ") +
-                   strategy);
+      SCOPED_TRACE(std::string(name) + " " + strategy);
       exec::Database db(EngineProfile::DSwap());
       test_util::BuildSmallSnowflake(&db, 5, 400);
       Dataset ds(&db);
-      if (categorical) {
-        AddNullCategory(&db);
+      std::string feature;
+      switch (input) {
+        case Input::kNanDouble:
+          // NaN is the float NULL.
+          db.Execute(
+              "UPDATE fact SET x0 = 1e999 - 1e999, y = y + 50 WHERE k1 < 4");
+          feature = "x0";
+          break;
+        case Input::kNullInt:
+          AddNullInt(&db);
+          feature = "xi";
+          break;
+        case Input::kNullCategory:
+        case Input::kNullCategoryBest:
+          AddNullCategory(&db, input == Input::kNullCategoryBest);
+          feature = "c1";
+          break;
+      }
+      if (feature == "c1") {
         ds.AddTable("fact", {}, "y");
         ds.AddTable("d1", {"c1"});
       } else {
-        // NaN is the float NULL.
-        db.Execute(
-            "UPDATE fact SET x0 = 1e999 - 1e999, y = y + 50 WHERE k1 < 4");
-        ds.AddTable("fact", {"x0"}, "y");
+        ds.AddTable("fact", {feature}, "y");
         ds.AddTable("d1", {"f1"});
       }
       ds.AddTable("d2", {"f2"});
@@ -159,7 +212,6 @@ TEST(HostileInputTest, NullFeatureRowsKeepTheirResidual) {
       params.update_strategy = strategy;
       TrainResult res = Train(params, ds);
 
-      const std::string feature = categorical ? "c1" : "x0";
       bool split_on_feature = false;
       for (const auto& node : res.model.trees[0].nodes) {
         split_on_feature |= !node.is_leaf && node.feature == feature;
@@ -173,6 +225,54 @@ TEST(HostileInputTest, NullFeatureRowsKeepTheirResidual) {
             << "tree " << t << ": root sum " << res.model.trees[t].nodes[0].sum
             << ", model residual sum " << want;
       }
+      EXPECT_TRUE(split_oracle::CheckModel(res.model, ds, params));
+    }
+  }
+}
+
+/// Degenerate shapes: an all-NULL feature, an empty fact or dimension, and
+/// more leaves asked for than rows. Each trains a model that passes the
+/// split oracle, as gbdt and as dt, and never splits on the all-NULL
+/// feature.
+TEST(HostileInputTest, DegenerateInputsPassSplitOracle) {
+  enum class Input { kAllNullFeature, kEmptyFact, kEmptyDimension, kFiveRows };
+  const std::pair<Input, const char*> inputs[] = {
+      {Input::kAllNullFeature, "all-NULL feature"},
+      {Input::kEmptyFact, "empty fact"},
+      {Input::kEmptyDimension, "empty dimension"},
+      {Input::kFiveRows, "5-row fact, 64 leaves"}};
+  for (const auto& [input, name] : inputs) {
+    for (const char* boosting : {"gbdt", "dt"}) {
+      SCOPED_TRACE(std::string(name) + " " + boosting);
+      exec::Database db(EngineProfile::DSwap());
+      const size_t rows = input == Input::kEmptyFact  ? 0
+                          : input == Input::kFiveRows ? 5
+                                                      : 400;
+      test_util::BuildSmallSnowflake(&db, 11, rows);
+      if (input == Input::kAllNullFeature) {
+        db.Execute("UPDATE fact SET x0 = 1e999 - 1e999");
+      } else if (input == Input::kEmptyDimension) {
+        db.catalog().Drop("d2");
+        db.RegisterTable(
+            TableBuilder("d2").AddInts("k2", {}).AddDoubles("f2", {}).Build());
+      }
+      Dataset ds = test_util::MakeSnowflakeDataset(&db);
+      core::TrainParams params;
+      params.boosting = boosting;
+      params.num_iterations = 3;
+      params.num_leaves = input == Input::kFiveRows ? 64 : 4;
+      TrainResult res = Train(params, ds);
+      ASSERT_FALSE(res.model.trees.empty());
+      for (const auto& tree : res.model.trees) {
+        for (const auto& node : tree.nodes) {
+          EXPECT_FALSE(input == Input::kAllNullFeature && !node.is_leaf &&
+                       node.feature == "x0");
+        }
+        if (input == Input::kFiveRows) {
+          EXPECT_LE(tree.NumLeaves(), 5u);
+        }
+      }
+      EXPECT_TRUE(split_oracle::CheckModel(res.model, ds, params));
     }
   }
 }

@@ -399,6 +399,46 @@ TEST_F(SqlEngineTest, CaseTypesAndNullsOnSelectionVectors) {
   EXPECT_EQ(IntColumn(*res, 1), (std::vector<int64_t>{10, 2}));
 }
 
+/// Strings per row of column `col` ("NULL" for a NULL).
+std::vector<std::string> StringColumn(const exec::ExecTable& t,
+                                      size_t col = 0) {
+  std::vector<std::string> out;
+  for (size_t r = 0; r < t.rows; ++r) {
+    Value v = t.GetValue(r, col);
+    out.push_back(v.null ? "NULL" : v.s);
+  }
+  return out;
+}
+
+TEST_F(SqlEngineTest, CaseWithStringBranchesReturnsStrings) {
+  // Each string literal mints its own dictionary: the result remaps every
+  // branch's codes into one.
+  auto res = db_->Query(
+      "SELECT CASE WHEN a = 1 THEN 'x' ELSE 'y' END AS c FROM r");
+  ASSERT_EQ(res->cols[0].data.type, TypeId::kString);
+  EXPECT_EQ(StringColumn(*res), (std::vector<std::string>{"x", "x", "y", "y"}));
+  res = db_->Query(
+      "SELECT CASE WHEN b = 2 THEN 'x' WHEN b = 3 THEN 'z' END AS c FROM r");
+  EXPECT_EQ(StringColumn(*res),
+            (std::vector<std::string>{"x", "z", "NULL", "x"}));
+  res = db_->Query(
+      "SELECT CASE WHEN b = 1 THEN NULL ELSE 'y' END AS c FROM r");
+  EXPECT_EQ(StringColumn(*res),
+            (std::vector<std::string>{"y", "y", "NULL", "y"}));
+  // Grouping on the result groups by string.
+  res = db_->Query(
+      "SELECT CASE WHEN b > 1 THEN 'hi' ELSE 'lo' END AS g, COUNT(*) AS n "
+      "FROM r GROUP BY CASE WHEN b > 1 THEN 'hi' ELSE 'lo' END ORDER BY n");
+  EXPECT_EQ(StringColumn(*res), (std::vector<std::string>{"lo", "hi"}));
+  // String and non-string results do not mix.
+  EXPECT_THROW(
+      db_->Query("SELECT CASE WHEN a = 1 THEN 'x' ELSE 2 END AS c FROM r"),
+      JbError);
+  EXPECT_THROW(
+      db_->Query("SELECT CASE WHEN a = 1 THEN b ELSE 'y' END AS c FROM r"),
+      JbError);
+}
+
 TEST_F(SqlEngineTest, AndRunsItsRightOperandOnPassedRows) {
   // HAVING with AND over two aggregates.
   EXPECT_EQ(IntColumn(*db_->Query("SELECT a FROM r GROUP BY a HAVING "
