@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "exec/vector.h"
 #include "storage/types.h"
 
 namespace joinboost {
@@ -48,14 +49,36 @@ struct CriterionParams {
   bool halved = false;       ///< 0.5 factor of the boosting gain
 };
 
-/// One (value, c, s) bin of a feature histogram, in aggregation (group
-/// first-occurrence) order: the rows a leaf's GROUPING SETS histogram query
-/// emits for one feature.
-struct HistogramEntry {
-  Value val;
-  Value c;
-  Value s;
+/// One feature's histogram at a leaf, in the compact form the split kernel
+/// reads and a leaf retains for sibling subtraction: its non-NULL bins in
+/// aggregation (group first-occurrence) order, 24 bytes a bin.
+struct Histogram {
+  struct Bin {
+    int64_t value = 0;  ///< the int64, the dictionary code or the float64 bits
+    double c = 0;
+    double s = 0;
+  };
+  TypeId type = TypeId::kFloat64;
+  DictionaryPtr dict;  ///< kString: the dictionary of the codes
+  std::vector<Bin> bins;
 };
+
+/// Demultiplexes a histogram query's result, rows (set_id, attrs..., c, s),
+/// into one Histogram per attribute, reading its typed columns. The NULL
+/// rule lives here: a bin whose value is NULL (the int sentinel or NaN) is
+/// dropped, so it is neither summed nor a split candidate. Its rows stay in
+/// the node's totals, so the right child (parent − left) holds them, as
+/// SplitPredicates and TreeModel::Predict route them. A NULL c or s reads
+/// as NaN.
+std::vector<Histogram> HistogramsFromResult(const exec::ExecTable& result,
+                                            size_t num_attrs);
+
+/// Sibling subtraction: the histogram of the child that was not queried, as
+/// `parent` minus `smaller` (its queried sibling's) bin by bin. Bins match
+/// by value bits, the way GROUP BY groups them; the result keeps the
+/// parent's bin order and drops a bin whose c reaches 0. Exact in c only
+/// when c counts join tuples, so a bin is empty exactly when its c is 0.
+Histogram SubtractHistogram(const Histogram& parent, const Histogram& smaller);
 
 /// Winning bin of the threshold enumeration over one histogram. `criteria`
 /// may be NaN or infinite; the trainer drops such a feature.
@@ -73,23 +96,19 @@ struct HistogramSplit {
 /// yields NaN, a NULL criterion.
 double CriterionValue(double c, double s, const CriterionParams& p);
 
-/// Threshold enumeration over one feature's histogram. Its rules:
-///  - NULL: a bin whose value is NULL (the int sentinel or NaN) is neither
-///    summed nor a candidate. Its rows stay in `c_total`/`s_total`, so the
-///    right child (parent − left) holds them, as SplitPredicates and
-///    TreeModel::Predict route them.
+/// Threshold enumeration over one feature's histogram (NULL bins are
+/// already out: HistogramsFromResult). Its rules:
 ///  - Sums: a numeric feature's bins are stable-sorted by value (ints as
-///    doubles) and summed in that order (`f <= v`); a categorical bin
-///    stands alone (`f = v`). A bin passes when min_leaf <= c <= C −
-///    min_leaf.
+///    doubles) and summed in that order (`f <= v`), a NaN c or s adding
+///    nothing; a categorical bin stands alone (`f = v`). A bin passes when
+///    min_leaf <= c <= C − min_leaf.
 ///  - Order: bins are scanned in histogram order, and a later bin wins only
 ///    with a strictly greater criterion, so ties keep the first. A NULL
 ///    criterion (division by zero) wins over every finite one and keeps the
 ///    first such bin.
 /// The tie and NULL-criterion orders are those of the per-feature split
 /// SQL this kernel replaced, so earlier models keep their bits.
-HistogramSplit BestSplitFromHistogram(const std::vector<HistogramEntry>& bins,
-                                      bool categorical,
+HistogramSplit BestSplitFromHistogram(const Histogram& hist, bool categorical,
                                       const CriterionParams& p);
 
 }  // namespace core

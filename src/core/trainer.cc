@@ -23,22 +23,64 @@ bool TreeGrower::IsCategorical(int rel, const std::string& feature) const {
          TypeId::kString;
 }
 
-SplitCandidate TreeGrower::BestSplit(const LeafState& leaf,
-                                     const std::vector<std::string>& features,
-                                     const std::vector<int>* allowed) {
-  // Group features by their relation: one histogram query per relation,
-  // whose messages and absorption are built once (message work-sharing).
-  std::map<int, std::vector<std::string>> by_rel;
+std::vector<TreeGrower::FeatureGroup> TreeGrower::GroupFeatures(
+    const std::vector<std::string>& features) const {
+  // One group per relation, in relation order; a relation's features keep
+  // their order.
+  std::map<int, FeatureGroup> by_rel;
   for (const auto& f : features) {
     int rel = fac_->graph().RelationOfFeature(f);
     JB_CHECK_MSG(rel >= 0, "unknown feature " << f);
+    FeatureGroup& group = by_rel[rel];
+    group.rel = rel;
+    group.feats.push_back(f);
+    group.categorical.push_back(IsCategorical(rel, f));
+  }
+  std::vector<FeatureGroup> groups;
+  for (auto& [rel, group] : by_rel) groups.push_back(std::move(group));
+  return groups;
+}
+
+TreeGrower::NodeHistograms TreeGrower::QueryHistograms(
+    const LeafState& leaf, const std::vector<int>* allowed) {
+  // Phase 1 (serial): compose one GROUPING SETS histogram query per allowed
+  // group. The factorizer materializes every missing message of the leaf
+  // first (serialized by its internal mutex; kept serial here for
+  // deterministic temp-table naming), sharing scans between same-input
+  // messages and histograms.
+  std::vector<size_t> queried;
+  std::vector<factor::HistogramRequest> requests;
+  for (size_t g = 0; g < groups_.size(); ++g) {
+    const int rel = groups_[g].rel;
     if (allowed &&
         std::find(allowed->begin(), allowed->end(), rel) == allowed->end()) {
       continue;
     }
-    by_rel[rel].push_back(f);
+    queried.push_back(g);
+    requests.push_back({rel, groups_[g].feats});
   }
+  const factor::LeafHistograms leaf_hists =
+      fac_->BatchedHistograms(requests, leaf.preds, "message");
 
+  // Phase 2 (optionally parallel across relations): run each query and
+  // demultiplex its rows by set_id into per-feature histograms.
+  NodeHistograms hists(groups_.size());
+  auto run_one = [&](size_t j) {
+    auto res = fac_->db()->Query(leaf_hists.sql[j], "feature");
+    hists[queried[j]] = HistogramsFromResult(*res, requests[j].attrs.size());
+  };
+  split_queries_ += requests.size();
+  if (params_.inter_query_parallelism && requests.size() > 1) {
+    fac_->db()->pool().ParallelFor(requests.size(), run_one);
+  } else {
+    for (size_t j = 0; j < requests.size(); ++j) run_one(j);
+  }
+  fac_->ReleaseShared(leaf_hists);
+  return hists;
+}
+
+SplitCandidate TreeGrower::BestSplit(const LeafState& leaf,
+                                     const NodeHistograms& hists) const {
   CriterionParams crit;
   crit.c_total = leaf.c;
   crit.s_total = leaf.s;
@@ -46,96 +88,34 @@ SplitCandidate TreeGrower::BestSplit(const LeafState& leaf,
   crit.min_leaf = params_.min_data_in_leaf;
   crit.halved = true;
 
-  // Phase 1 (serial): compose one GROUPING SETS histogram query per
-  // relation. The factorizer materializes every missing message of the leaf
-  // first (serialized by its internal mutex; kept serial here for
-  // deterministic temp-table naming), sharing scans between same-input
-  // messages and histograms.
-  struct RelJob {
-    int rel = 0;
-    const std::vector<std::string>* feats = nullptr;
-    std::vector<bool> categorical;
-    std::string sql;
-    std::vector<SplitCandidate> candidates;  ///< one slot per feature
-  };
-  std::vector<RelJob> jobs;
-  std::vector<factor::HistogramRequest> requests;
-  jobs.reserve(by_rel.size());
-  for (const auto& [rel, feats] : by_rel) {
-    RelJob job;
-    job.rel = rel;
-    job.feats = &feats;
-    job.categorical.reserve(feats.size());
-    for (const auto& f : feats) job.categorical.push_back(IsCategorical(rel, f));
-    job.candidates.resize(feats.size());
-    jobs.push_back(std::move(job));
-    requests.push_back({rel, feats});
-  }
-  const factor::LeafHistograms leaf_hists =
-      fac_->BatchedHistograms(requests, leaf.preds, "message");
-  for (size_t j = 0; j < jobs.size(); ++j) jobs[j].sql = leaf_hists.sql[j];
-
-  // Phase 2 (optionally parallel across relations): run the histogram query,
-  // demultiplex rows into per-feature histograms by set_id, and enumerate
-  // thresholds in the C++ kernel.
-  auto run_one = [&](size_t j) {
-    RelJob& job = jobs[j];
-    const std::vector<std::string>& feats = *job.feats;
-    auto res = fac_->db()->Query(job.sql, "feature");
-    // Column layout: set_id, feats..., c, s[, q].
-    const size_t c_col = 1 + feats.size();
-    const size_t s_col = c_col + 1;
-    std::vector<std::vector<HistogramEntry>> hists(feats.size());
-    for (size_t r = 0; r < res->rows; ++r) {
-      const size_t sid = static_cast<size_t>(res->GetValue(r, 0).i);
-      JB_CHECK_MSG(sid < feats.size(), "histogram set id " << sid
-                                           << " out of range for "
-                                           << feats.size() << " features");
-      HistogramEntry e;
-      e.val = res->GetValue(r, 1 + sid);
-      e.c = res->GetValue(r, c_col);
-      e.s = res->GetValue(r, s_col);
-      hists[sid].push_back(std::move(e));
-    }
-    for (size_t fi = 0; fi < feats.size(); ++fi) {
-      HistogramSplit hs =
-          BestSplitFromHistogram(hists[fi], job.categorical[fi], crit);
-      SplitCandidate cand;
-      if (hs.valid && std::isfinite(hs.criteria)) {
-        cand.valid = true;
-        cand.feature = feats[fi];
-        cand.relation = job.rel;
-        cand.categorical = job.categorical[fi];
-        cand.gain = hs.criteria;
-        cand.c_left = hs.c;
-        cand.s_left = hs.s;
-        if (cand.categorical) {
-          cand.category = hs.val.i;
-          cand.category_str = hs.val.s;
-        } else {
-          cand.threshold = hs.val.AsDouble();
-        }
-      }
-      job.candidates[fi] = std::move(cand);
-    }
-  };
-  split_queries_ += jobs.size();
-  if (params_.inter_query_parallelism && jobs.size() > 1) {
-    fac_->db()->pool().ParallelFor(jobs.size(), run_one);
-  } else {
-    for (size_t j = 0; j < jobs.size(); ++j) run_one(j);
-  }
-  fac_->ReleaseShared(leaf_hists);
-
-  // Merge in (relation, feature) order; a later candidate wins only with a
-  // strictly greater gain, and none wins below the floor.
+  // Threshold enumeration per feature in (relation, feature) order; a later
+  // candidate wins only with a strictly greater gain, none wins below the
+  // floor, and a non-finite criterion drops its feature.
   SplitCandidate best;
   double best_gain = std::max(params_.min_gain, 1e-12);
-  for (auto& job : jobs) {
-    for (auto& cand : job.candidates) {
-      if (cand.valid && cand.gain > best_gain) {
-        best_gain = cand.gain;
-        best = std::move(cand);
+  for (size_t g = 0; g < groups_.size(); ++g) {
+    const FeatureGroup& group = groups_[g];
+    for (size_t fi = 0; fi < hists[g].size(); ++fi) {
+      const HistogramSplit hs =
+          BestSplitFromHistogram(hists[g][fi], group.categorical[fi], crit);
+      if (!hs.valid || !std::isfinite(hs.criteria) ||
+          !(hs.criteria > best_gain)) {
+        continue;
+      }
+      best_gain = hs.criteria;
+      best = SplitCandidate{};
+      best.valid = true;
+      best.feature = group.feats[fi];
+      best.relation = group.rel;
+      best.categorical = group.categorical[fi];
+      best.gain = hs.criteria;
+      best.c_left = hs.c;
+      best.s_left = hs.s;
+      if (best.categorical) {
+        best.category = hs.val.i;
+        best.category_str = hs.val.s;
+      } else {
+        best.threshold = hs.val.AsDouble();
       }
     }
   }
@@ -146,6 +126,14 @@ GrowthResult TreeGrower::Grow(const std::vector<std::string>& features,
                               int agg_root,
                               const std::vector<int>* clusters) {
   GrowthResult result;
+  groups_ = GroupFeatures(features);
+  // Sibling subtraction needs c to count join tuples, so that a bin is
+  // empty exactly when its c is 0: no relation may bind a count (hessian or
+  // weight) column.
+  bool derive = true;
+  for (size_t r = 0; r < fac_->graph().num_relations(); ++r) {
+    if (fac_->binding(static_cast<int>(r)).has_c) derive = false;
+  }
   factor::PredicateSet no_preds;
   semiring::VarianceElem total =
       fac_->TotalAggregate(agg_root, no_preds, "message");
@@ -167,9 +155,20 @@ GrowthResult TreeGrower::Grow(const std::vector<std::string>& features,
   std::vector<int> allowed_storage;
   const std::vector<int>* allowed = nullptr;  // root splits freely
 
+  // A leaf keeps its histograms, for its larger child to be derived from,
+  // while it can still split and max_depth lets its children be evaluated.
+  auto evaluate = [&](LeafState* leaf, NodeHistograms hists) {
+    leaf->best = BestSplit(*leaf, hists);
+    const bool children_evaluated =
+        params_.max_depth < 0 || leaf->depth + 1 < params_.max_depth;
+    if (derive && leaf->best.valid && children_evaluated) {
+      leaf->hists = std::move(hists);
+    }
+  };
+
   int num_leaves = 1;
   if (total.c > 0) {
-    leaves[0].best = BestSplit(leaves[0], features, allowed);
+    evaluate(&leaves[0], QueryHistograms(leaves[0], allowed));
   }
 
   const bool depth_wise = params_.growth == "depth_wise";
@@ -253,13 +252,35 @@ GrowthResult TreeGrower::Grow(const std::vector<std::string>& features,
     ++num_leaves;
 
     // Algorithm 1 (L8-9) computes GetBestSplit for both children as soon as
-    // the parent splits, before the loop condition is re-checked — which is
-    // why the paper counts num_nodes x num_features split queries (Fig 9);
-    // here it is num_nodes x relations carrying features.
-    bool depth_ok = params_.max_depth < 0 || left.depth < params_.max_depth;
-    if (depth_ok) {
-      left.best = BestSplit(left, features, allowed);
-      right.best = BestSplit(right, features, allowed);
+    // the parent splits, which is why the paper counts num_nodes x
+    // num_features split queries (Fig 9). Here only the child with the
+    // smaller c is queried, one statement per relation carrying features;
+    // the larger child's histograms are derived from the parent's, or
+    // queried when c is not a tuple count. A split that fills the tree
+    // evaluates neither child: they can never split.
+    const bool depth_ok =
+        params_.max_depth < 0 || left.depth < params_.max_depth;
+    if (depth_ok && num_leaves < params_.num_leaves) {
+      const bool left_smaller = left.c <= right.c;
+      LeafState& smaller = left_smaller ? left : right;
+      LeafState& larger = left_smaller ? right : left;
+      NodeHistograms smaller_hists = QueryHistograms(smaller, allowed);
+      NodeHistograms larger_hists;
+      if (leaf.hists.empty()) {
+        larger_hists = QueryHistograms(larger, allowed);
+      } else {
+        larger_hists.resize(groups_.size());
+        for (size_t g = 0; g < groups_.size(); ++g) {
+          JB_CHECK(smaller_hists[g].size() <= leaf.hists[g].size());
+          for (size_t fi = 0; fi < smaller_hists[g].size(); ++fi) {
+            larger_hists[g].push_back(
+                SubtractHistogram(leaf.hists[g][fi], smaller_hists[g][fi]));
+          }
+        }
+        leaf.hists.clear();
+      }
+      evaluate(&smaller, std::move(smaller_hists));
+      evaluate(&larger, std::move(larger_hists));
     }
     leaves.push_back(std::move(left));
     leaves.push_back(std::move(right));

@@ -26,11 +26,16 @@ struct GrowthResult {
   int first_split_relation = -1;  ///< drives CPT cluster selection (§4.2.2)
 };
 
-/// Algorithm 1: grows one decision tree. Each leaf's split search runs one
+/// Algorithm 1: grows one decision tree. A leaf's split search runs one
 /// GROUPING SETS histogram query per relation carrying features (built by
 /// the factorizer) and enumerates thresholds in the C++ split kernel
-/// (split.h). Growth is best-first (priority queue on criterion reduction)
-/// or depth-wise.
+/// (split.h). After a split only the child with the smaller c is queried
+/// (the left one on a tie). When c counts join tuples, i.e. no
+/// RelationBinding has a count column, the larger child's histograms are
+/// its parent's minus the smaller child's (sibling subtraction,
+/// SubtractHistogram); under a hessian or weight c it is queried too. A
+/// split that fills the tree evaluates neither child. Growth is best-first
+/// (priority queue on criterion reduction) or depth-wise.
 class TreeGrower {
  public:
   TreeGrower(factor::Factorizer* fac, const TrainParams& params);
@@ -43,25 +48,44 @@ class TreeGrower {
                     const std::vector<int>* clusters);
 
   /// Number of split queries issued so far (Fig 9 instrumentation): one
-  /// per (leaf, relation carrying candidate features).
+  /// per (queried leaf, relation carrying candidate features). A leaf whose
+  /// histograms come from sibling subtraction issues none.
   size_t split_queries() const { return split_queries_; }
 
  private:
+  /// A relation carrying candidate features: one histogram query per
+  /// queried leaf.
+  struct FeatureGroup {
+    int rel = 0;
+    std::vector<std::string> feats;
+    std::vector<bool> categorical;
+  };
+  /// A node's histograms: per feature group, one per feature, or none for a
+  /// group outside the allowed relations.
+  using NodeHistograms = std::vector<std::vector<Histogram>>;
+
   struct LeafState {
     int node = 0;
     int depth = 0;
     factor::PredicateSet preds;
     double c = 0, s = 0;
     SplitCandidate best;
+    /// Kept, under sibling subtraction, while the leaf can still split and
+    /// its children would be evaluated.
+    NodeHistograms hists;
   };
 
+  std::vector<FeatureGroup> GroupFeatures(
+      const std::vector<std::string>& features) const;
+  NodeHistograms QueryHistograms(const LeafState& leaf,
+                                 const std::vector<int>* allowed);
   SplitCandidate BestSplit(const LeafState& leaf,
-                           const std::vector<std::string>& features,
-                           const std::vector<int>* allowed);
+                           const NodeHistograms& hists) const;
   bool IsCategorical(int rel, const std::string& feature) const;
 
   factor::Factorizer* fac_;
   TrainParams params_;
+  std::vector<FeatureGroup> groups_;  ///< of the tree being grown
   size_t split_queries_ = 0;
 };
 

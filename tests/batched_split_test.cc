@@ -1,11 +1,15 @@
-// Split search: one GROUPING SETS histogram query per relation per leaf and
-// a C++ threshold kernel. Full trains must pass the independent split oracle
-// (split_oracle.h) and be bit-identical across {planner on/off} x {1, N
-// threads}, and must issue one split query per relation per leaf. Plus unit
-// coverage of the BestSplitFromHistogram kernel's rules.
+// Split search: one GROUPING SETS histogram query per relation per queried
+// leaf and a C++ threshold kernel. Full trains must pass the independent
+// split oracle (split_oracle.h) and be bit-identical across {planner on/off}
+// x {1, N threads}, and must issue one split query per relation per queried
+// leaf. A histogram derived by sibling subtraction must equal the child's
+// own query. Plus unit coverage of the BestSplitFromHistogram kernel's rules.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -13,6 +17,7 @@
 #include "core/session.h"
 #include "core/split.h"
 #include "core/trainer.h"
+#include "data/generators.h"
 #include "joinboost.h"
 #include "split_oracle.h"
 #include "storage/table.h"
@@ -37,11 +42,11 @@ EngineProfile Profile(bool use_planner, int threads) {
 /// Snowflake with a categorical dimension feature, so both kernel paths
 /// (window prefix sums and equality splits) are exercised end to end. The
 /// target rises by 5 with category cats[0] and by `second_effect` with
-/// cats[1].
+/// cats[1]. With `null_every` > 0, every such fact row's x0 is NULL.
 void BuildCatSnowflake(Database* db, uint64_t seed, size_t rows,
                        const std::vector<std::string>& cats = {"red", "green",
                                                                "blue", "teal"},
-                       double second_effect = 0.0) {
+                       double second_effect = 0.0, size_t null_every = 0) {
   Rng rng(seed);
   const int64_t kD1 = 13, kD2 = 7;
   std::vector<int64_t> k1(rows), k2(rows);
@@ -67,6 +72,7 @@ void BuildCatSnowflake(Database* db, uint64_t seed, size_t rows,
         g == cats[0] ? 5.0 : (g == cats[1] ? second_effect : 0.0);
     y[i] = 2.0 * x0[i] + cat_effect + 0.01 * f1[static_cast<size_t>(k1[i])] -
            0.015 * f2[static_cast<size_t>(k2[i])] + rng.NextGaussian();
+    if (null_every > 0 && i % null_every == 0) x0[i] = NullFloat64();
   }
   db->RegisterTable(TableBuilder("fact")
                         .AddInts("k1", k1)
@@ -263,19 +269,270 @@ TEST(BatchedSplitTest, QuotedCategoriesTrainLikeQuoteFreeOnes) {
 }
 
 // ---------------------------------------------------------------------------
+// Sibling subtraction: SubtractHistogram against each child's own query.
+// ---------------------------------------------------------------------------
+
+/// Every feature's histogram at a node with predicates `preds`, read as the
+/// trainer reads them: one BatchedHistograms query per relation.
+std::map<std::string, core::Histogram> QueryNodeHistograms(
+    core::Session& session, const factor::PredicateSet& preds) {
+  std::map<int, std::vector<std::string>> by_rel;
+  for (const auto& f : session.graph().AllFeatures()) {
+    by_rel[session.graph().RelationOfFeature(f)].push_back(f);
+  }
+  std::vector<factor::HistogramRequest> requests;
+  for (const auto& [rel, feats] : by_rel) requests.push_back({rel, feats});
+  const factor::LeafHistograms queries =
+      session.fac().BatchedHistograms(requests, preds, "message");
+  std::map<std::string, core::Histogram> out;
+  for (size_t j = 0; j < requests.size(); ++j) {
+    auto res = session.db().Query(queries.sql[j], "feature");
+    std::vector<core::Histogram> hists =
+        core::HistogramsFromResult(*res, requests[j].attrs.size());
+    for (size_t i = 0; i < hists.size(); ++i) {
+      out[requests[j].attrs[i]] = std::move(hists[i]);
+    }
+  }
+  session.fac().ReleaseShared(queries);
+  return out;
+}
+
+/// What one derivation showed, per feature.
+struct DerivationStats {
+  /// Values of the parent bins whose c reached 0.
+  std::map<std::string, std::set<int64_t>> dropped;
+  /// Number of bins with rows in both children.
+  std::map<std::string, size_t> in_both;
+};
+
+/// Splits the root on `feature` (`f <= threshold`, or `f = category`),
+/// queries the child with the smaller c (the left one on a tie) and derives
+/// the other's histograms as root − smaller. Each derived histogram must
+/// hold the bin set of the larger child's own query, with bit-equal counts,
+/// sums within 1e-12 relative, and the bins in the root's order.
+DerivationStats ExpectDerivationMatchesQuery(core::Session& session,
+                                             const std::string& feature,
+                                             double threshold,
+                                             const std::string& category) {
+  const graph::JoinGraph& g = session.graph();
+  const int rel = g.RelationOfFeature(feature);
+  const auto& nulls = g.relation(rel).null_features;
+  const core::ChildPredicates child = core::SplitPredicates(
+      feature, !category.empty(), threshold, category,
+      std::find(nulls.begin(), nulls.end(), feature) != nulls.end());
+  factor::PredicateSet root, left, right;
+  left.Add(rel, child.left);
+  right.Add(rel, child.right);
+  const int agg = session.y_fact();
+  const double c_left = session.fac().TotalAggregate(agg, left, "message").c;
+  const double c_right = session.fac().TotalAggregate(agg, right, "message").c;
+  EXPECT_GT(c_left, 0);
+  EXPECT_GT(c_right, 0);
+  const bool left_smaller = c_left <= c_right;
+
+  auto parent = QueryNodeHistograms(session, root);
+  auto smaller = QueryNodeHistograms(session, left_smaller ? left : right);
+  auto larger = QueryNodeHistograms(session, left_smaller ? right : left);
+  DerivationStats stats;
+  for (const auto& [name, direct] : larger) {
+    SCOPED_TRACE(feature + " split, histogram of " + name);
+    const core::Histogram derived =
+        core::SubtractHistogram(parent.at(name), smaller.at(name));
+    EXPECT_EQ(derived.type, direct.type);
+    EXPECT_EQ(derived.bins.size(), direct.bins.size());
+    std::map<int64_t, const core::Histogram::Bin*> direct_bins;
+    for (const auto& bin : direct.bins) direct_bins[bin.value] = &bin;
+    std::map<int64_t, size_t> parent_pos, smaller_c;
+    for (size_t i = 0; i < parent.at(name).bins.size(); ++i) {
+      parent_pos[parent.at(name).bins[i].value] = i;
+    }
+    for (const auto& bin : smaller.at(name).bins) smaller_c[bin.value] = 1;
+    size_t last_pos = 0;
+    for (size_t i = 0; i < derived.bins.size(); ++i) {
+      const core::Histogram::Bin& bin = derived.bins[i];
+      auto it = direct_bins.find(bin.value);
+      if (it == direct_bins.end()) {
+        ADD_FAILURE() << "derived bin " << i << " is not in the query's";
+        continue;
+      }
+      EXPECT_EQ(bin.c, it->second->c) << "bin " << i;
+      EXPECT_TRUE(test_util::RelNear(bin.s, it->second->s, 1e-12))
+          << "bin " << i;
+      const size_t pos = parent_pos.at(bin.value);
+      if (i > 0) {
+        EXPECT_GT(pos, last_pos) << "bin " << i << " out of order";
+      }
+      last_pos = pos;
+      stats.in_both[name] += smaller_c.count(bin.value);
+    }
+    for (const auto& bin : parent.at(name).bins) {
+      if (direct_bins.count(bin.value) == 0) {
+        stats.dropped[name].insert(bin.value);
+      }
+    }
+    EXPECT_EQ(stats.dropped[name].size(),
+              parent.at(name).bins.size() - derived.bins.size());
+  }
+  return stats;
+}
+
+/// The derived larger child equals its own query on a snowflake: a numeric
+/// fact feature, a categorical and a numeric dimension feature, and a fact
+/// feature holding NULLs. A bin whose rows all go to the smaller child is
+/// dropped.
+TEST(SiblingSubtractionTest, DerivedChildMatchesItsOwnQuery) {
+  for (const size_t null_every : {size_t{0}, size_t{5}}) {
+    SCOPED_TRACE("null_every=" + std::to_string(null_every));
+    Database db(Profile(/*use_planner=*/true, /*threads=*/1));
+    BuildCatSnowflake(&db, /*seed=*/31, /*rows=*/4000, {"red", "green", "blue",
+                                                        "teal"},
+                      /*second_effect=*/0.0, null_every);
+    Dataset ds = MakeCatDataset(&db);
+    core::TrainParams params;
+    params.boosting = "gbdt";
+    core::Session session(&ds, params);
+    session.Prepare();
+    if (null_every > 0) {
+      const auto& nulls = ds.graph().relation(session.y_fact()).null_features;
+      ASSERT_EQ(nulls, std::vector<std::string>{"x0"});
+    }
+
+    // x0 <= 2 sends about a quarter of the rows left: every x0 bin up to 2
+    // lies wholly in the smaller child and must be dropped.
+    DerivationStats x0 = ExpectDerivationMatchesQuery(session, "x0", 2.0, "");
+    ASSERT_GT(x0.dropped["x0"].size(), 0u);
+    for (int64_t bits : x0.dropped["x0"]) {
+      double v;
+      std::memcpy(&v, &bits, sizeof v);
+      EXPECT_LE(v, 2.0);
+    }
+    EXPECT_EQ(x0.in_both["x0"], 0u);
+    EXPECT_GT(x0.in_both["f1"], 0u);
+
+    // Splits on a dimension: the category's bin and the low f2 values go
+    // wholly to one child.
+    DerivationStats g1 = ExpectDerivationMatchesQuery(session, "g1", 0, "red");
+    EXPECT_EQ(g1.dropped["g1"].size(), 1u);
+    DerivationStats f2 = ExpectDerivationMatchesQuery(session, "f2", 250, "");
+    EXPECT_GT(f2.dropped["f2"].size(), 0u);
+    session.Cleanup();
+  }
+}
+
+/// On the IMDB-like galaxy, a split on `person` sends a movie's cast rows to
+/// both children, so a movie_companies row's tuples sit in both: its bins
+/// are split between the children, not moved whole.
+TEST(SiblingSubtractionTest, GalaxyManyToManyRowsSitInBothChildren) {
+  Database db(Profile(/*use_planner=*/true, /*threads=*/1));
+  data::ImdbConfig config;
+  config.num_movies = 60;
+  config.num_persons = 120;
+  config.cast_per_movie = 4;
+  Dataset ds = data::MakeImdb(&db, config);
+  core::TrainParams params;
+  params.boosting = "gbdt";
+  core::Session session(&ds, params);
+  session.Prepare();
+  DerivationStats person =
+      ExpectDerivationMatchesQuery(session, "f_person", 300, "");
+  EXPECT_EQ(person.in_both["f_person"], 0u);
+  EXPECT_GT(person.in_both["f_mc"], 0u);
+  EXPECT_GT(person.in_both["f_movie"], 0u);
+  // And a split on the many-to-many relation itself.
+  DerivationStats mc = ExpectDerivationMatchesQuery(session, "f_mc", 500, "");
+  EXPECT_GT(mc.in_both["f_role"], 0u);
+  session.Cleanup();
+}
+
+/// A categorical fact feature on a fact large enough for its histograms to
+/// be read back from the leaf's shared GROUPING SETS table: subtraction
+/// matches dictionary codes, so every read must share one dictionary, and
+/// the trained models must pass the split oracle.
+TEST(SiblingSubtractionTest, SharedScanCategoricalFactPassesSplitOracle) {
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    Database db(Profile(/*use_planner=*/true, threads));
+    Rng rng(5);
+    const size_t rows = 12000;
+    const std::vector<std::string> cats = {"a", "b", "c", "d", "e", "f"};
+    std::vector<int64_t> k(rows);
+    std::vector<double> x(rows), y(rows);
+    std::vector<std::string> cat(rows);
+    for (size_t i = 0; i < rows; ++i) {
+      k[i] = rng.NextInt(0, 9);
+      x[i] = static_cast<double>(rng.NextInt(0, 300));
+      cat[i] = cats[static_cast<size_t>(rng.NextInt(0, 5))];
+      y[i] = (cat[i] == "b" ? 7.0 : 0.0) - (cat[i] == "e" ? 3.0 : 0.0) +
+             0.02 * x[i] + 0.5 * static_cast<double>(k[i]) +
+             rng.NextGaussian();
+    }
+    db.RegisterTable(TableBuilder("fact")
+                         .AddInts("k", k)
+                         .AddDoubles("x", x)
+                         .AddStrings("cat", cat)
+                         .AddDoubles("y", y)
+                         .Build());
+    db.RegisterTable(TableBuilder("dim")
+                         .AddInts("k", {0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+                         .AddDoubles("f", {0, 3, 6, 2, 5, 1, 4, 0, 3, 6})
+                         .Build());
+    Dataset ds(&db);
+    ds.AddTable("fact", {"x", "cat"}, "y");
+    ds.AddTable("dim", {"f"});
+    ds.AddJoin("fact", "dim", {"k"});
+    core::TrainParams params;
+    params.boosting = "gbdt";
+    params.num_iterations = 3;
+    params.num_leaves = 8;
+    const core::Ensemble model = Train(params, ds).model;
+    size_t shared_reads = 0, category_splits = 0;
+    for (const auto& e : db.QueryLog()) {
+      const bool shared = e.sql.find("_sets WHERE") != std::string::npos;
+      if (e.tag == "feature" && shared) ++shared_reads;
+    }
+    for (const auto& tree : model.trees) {
+      for (const auto& node : tree.nodes) {
+        category_splits += !node.is_leaf && node.categorical;
+      }
+    }
+    EXPECT_GT(shared_reads, 0u);
+    EXPECT_GT(category_splits, 0u);
+    EXPECT_TRUE(split_oracle::CheckModel(model, ds, params));
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Kernel unit tests: the rules of BestSplitFromHistogram (core/split.h).
 // ---------------------------------------------------------------------------
 
-core::HistogramEntry Bin(Value val, double c, double s) {
-  core::HistogramEntry e;
-  e.val = std::move(val);
-  e.c = Value::Double(c);
-  e.s = Value::Double(s);
-  return e;
+core::Histogram::Bin Bin(double val, double c, double s) {
+  core::Histogram::Bin bin;
+  std::memcpy(&bin.value, &val, sizeof val);
+  bin.c = c;
+  bin.s = s;
+  return bin;
 }
 
-core::HistogramEntry Bin(double val, double c, double s) {
-  return Bin(Value::Double(val), c, s);
+/// A float64 histogram holding `bins` in the given (aggregation) order.
+core::Histogram Hist(std::vector<core::Histogram::Bin> bins) {
+  core::Histogram hist;
+  hist.type = TypeId::kFloat64;
+  hist.bins = std::move(bins);
+  return hist;
+}
+
+/// A one-attribute histogram query result: rows (set_id = 0, value, c, s).
+exec::ExecTable HistogramResult(exec::VectorData values,
+                                std::vector<double> c, std::vector<double> s) {
+  exec::ExecTable result;
+  result.rows = c.size();
+  std::vector<int64_t> set_id(c.size(), 0);
+  result.cols.push_back(
+      {"", "set_id", exec::VectorData::FromInts(std::move(set_id))});
+  result.cols.push_back({"", "x", std::move(values)});
+  result.cols.push_back({"", "c", exec::VectorData::FromDoubles(std::move(c))});
+  result.cols.push_back({"", "s", exec::VectorData::FromDoubles(std::move(s))});
+  return result;
 }
 
 TEST(BatchedSplitKernelTest, NumericPrefixSumsAndArgmax) {
@@ -285,8 +542,7 @@ TEST(BatchedSplitKernelTest, NumericPrefixSumsAndArgmax) {
   p.min_leaf = 1;
   p.halved = true;
   // Bins arrive in group first-occurrence order, values unsorted.
-  std::vector<core::HistogramEntry> bins = {Bin(3.0, 2, 2), Bin(1.0, 2, 8),
-                                            Bin(2.0, 2, 2)};
+  core::Histogram bins = Hist({Bin(3.0, 2, 2), Bin(1.0, 2, 8), Bin(2.0, 2, 2)});
   core::HistogramSplit hs = core::BestSplitFromHistogram(bins, false, p);
   ASSERT_TRUE(hs.valid);
   // Cumulative (c, s) by ascending val: (2,8) @1, (4,10) @2, (6,12) @3.
@@ -309,8 +565,8 @@ TEST(BatchedSplitKernelTest, TiesKeepFirstBinInGroupOrder) {
   // Symmetric histogram: cumulative (1, -1) at val=1 and (3, 1) at val=3
   // score identically (s^2/c + s^2/(C-c)); a later bin needs a strictly
   // greater criterion, so the first in bin order wins — val=3 here.
-  std::vector<core::HistogramEntry> bins = {Bin(3.0, 1, 1), Bin(1.0, 1, -1),
-                                            Bin(2.0, 1, 1)};
+  core::Histogram bins =
+      Hist({Bin(3.0, 1, 1), Bin(1.0, 1, -1), Bin(2.0, 1, 1)});
   core::HistogramSplit hs = core::BestSplitFromHistogram(bins, false, p);
   ASSERT_TRUE(hs.valid);
   EXPECT_EQ(hs.val.d, 3.0);  // first in bin order among equal criteria
@@ -324,8 +580,7 @@ TEST(BatchedSplitKernelTest, CategoricalSkipsPrefixSums) {
   p.s_total = 10;
   p.min_leaf = 2;
   p.halved = true;
-  std::vector<core::HistogramEntry> bins = {Bin(0, 1, 9), Bin(1, 4, 8),
-                                            Bin(2, 5, -7)};
+  core::Histogram bins = Hist({Bin(0, 1, 9), Bin(1, 4, 8), Bin(2, 5, -7)});
   core::HistogramSplit hs = core::BestSplitFromHistogram(bins, true, p);
   ASSERT_TRUE(hs.valid);
   // Bin 0 fails min_leaf; bins 1 and 2 compete on their own (c, s).
@@ -340,7 +595,7 @@ TEST(BatchedSplitKernelTest, OutOfBoundsBinsAreInvalid) {
   p.s_total = 4;
   p.min_leaf = 3;  // no prefix c lands in [3, 1]: nothing passes
   p.halved = true;
-  std::vector<core::HistogramEntry> bins = {Bin(1.0, 2, 2), Bin(2.0, 2, 2)};
+  core::Histogram bins = Hist({Bin(1.0, 2, 2), Bin(2.0, 2, 2)});
   core::HistogramSplit hs = core::BestSplitFromHistogram(bins, false, p);
   EXPECT_FALSE(hs.valid);
 }
@@ -355,34 +610,49 @@ TEST(BatchedSplitKernelTest, DivisionByZeroMirrorsSqlNull) {
   // c = 0 with lambda = 0 divides by zero: a NULL (NaN) criterion, which
   // wins over every finite one — the kernel must surface it (the trainer
   // then rejects the non-finite candidate).
-  std::vector<core::HistogramEntry> bins = {Bin(1.0, 0, 1), Bin(2.0, 1, 1)};
+  core::Histogram bins = Hist({Bin(1.0, 0, 1), Bin(2.0, 1, 1)});
   core::HistogramSplit hs = core::BestSplitFromHistogram(bins, false, p);
   ASSERT_TRUE(hs.valid);
   EXPECT_EQ(hs.val.d, 1.0);
   EXPECT_TRUE(std::isnan(hs.criteria));
 }
 
-/// A NULL bin (NaN or the int sentinel) is neither summed nor a candidate,
-/// wherever it arrives: its rows stay in the totals and go right.
+/// A NULL bin (NaN or the int sentinel) is dropped where the histogram
+/// result is read (HistogramsFromResult), so it is neither summed nor a
+/// candidate wherever it arrives: its rows stay in the totals and go right.
 TEST(BatchedSplitKernelTest, NullBinsStayOutOfSumsAndCandidates) {
   core::CriterionParams p;
   p.c_total = 9;  // 5 of the 9 rows are NULL
   p.s_total = 50;
   p.min_leaf = 1;
   p.halved = true;
-  for (const Value& null_val : {Value::Double(NullFloat64()),
-                                Value::Int(kNullInt64)}) {
+  for (const TypeId type : {TypeId::kFloat64, TypeId::kInt64}) {
     for (size_t at = 0; at < 3; ++at) {
-      SCOPED_TRACE("NULL bin at " + std::to_string(at));
-      std::vector<core::HistogramEntry> bins = {Bin(1.0, 2, 2),
-                                                Bin(2.0, 2, 0)};
-      bins.insert(bins.begin() + static_cast<std::ptrdiff_t>(at),
-                  Bin(null_val, 5, 48));
-      core::HistogramSplit hs = core::BestSplitFromHistogram(bins, false, p);
+      SCOPED_TRACE(std::string(TypeName(type)) + " NULL bin at " +
+                   std::to_string(at));
+      std::vector<double> vals = {1.0, 2.0}, c = {2, 2}, s = {2, 0};
+      const auto pos = static_cast<std::ptrdiff_t>(at);
+      vals.insert(vals.begin() + pos, NullFloat64());
+      c.insert(c.begin() + pos, 5);
+      s.insert(s.begin() + pos, 48);
+      exec::VectorData values = exec::VectorData::FromDoubles(vals);
+      if (type == TypeId::kInt64) {
+        std::vector<int64_t> ints;
+        for (double v : vals) {
+          ints.push_back(std::isnan(v) ? kNullInt64 : static_cast<int64_t>(v));
+        }
+        values = exec::VectorData::FromInts(std::move(ints));
+      }
+      const std::vector<core::Histogram> hists = core::HistogramsFromResult(
+          HistogramResult(std::move(values), c, s), 1);
+      ASSERT_EQ(hists.size(), 1u);
+      EXPECT_EQ(hists[0].bins.size(), 2u);
+      core::HistogramSplit hs =
+          core::BestSplitFromHistogram(hists[0], false, p);
       ASSERT_TRUE(hs.valid);
       // Cumulative (2, 2) at 1.0 and (4, 2) at 2.0; the NULL rows count in
       // neither.
-      EXPECT_EQ(hs.val.d, 2.0);
+      EXPECT_EQ(hs.val.AsDouble(), 2.0);
       EXPECT_EQ(hs.c, 4.0);
       EXPECT_EQ(hs.s, 2.0);
       EXPECT_EQ(hs.criteria, core::CriterionValue(4, 2, p));
@@ -390,13 +660,14 @@ TEST(BatchedSplitKernelTest, NullBinsStayOutOfSumsAndCandidates) {
   }
   // Categorical: the NULL bin scores best on its own, but the best non-NULL
   // category must win instead of no split at all.
-  Value a = Value::Str("a"), b = Value::Str("b");
-  a.i = 0;
-  b.i = 1;
-  std::vector<core::HistogramEntry> bins = {
-      Bin(Value::Null(TypeId::kString), 5, 48), Bin(a, 2, 2), Bin(b, 2, 0)};
+  auto dict = std::make_shared<Dictionary>();
+  const int64_t a = dict->GetOrAdd("a"), b = dict->GetOrAdd("b");
+  const std::vector<core::Histogram> hists = core::HistogramsFromResult(
+      HistogramResult(exec::VectorData::FromCodes({kNullInt64, a, b}, dict),
+                      {5, 2, 2}, {48, 2, 0}),
+      1);
   ASSERT_GT(core::CriterionValue(5, 48, p), core::CriterionValue(2, 0, p));
-  core::HistogramSplit hs = core::BestSplitFromHistogram(bins, true, p);
+  core::HistogramSplit hs = core::BestSplitFromHistogram(hists[0], true, p);
   ASSERT_TRUE(hs.valid);
   EXPECT_EQ(hs.val.s, "b");
   EXPECT_EQ(hs.c, 2.0);

@@ -144,9 +144,12 @@ TEST(FavoritaIntegrationTest, Figure9QueryMix) {
   // The paper counts 270 feature-split queries (15 nodes x 18 features) and
   // 75 message queries for one 8-leaf tree on Favorita: one window query per
   // node per feature. This repo issues one GROUPING SETS histogram statement
-  // per node per relation that carries features, so an 8-leaf tree (15
-  // nodes, each evaluated once) costs 15 x (feature relations) split
-  // queries.
+  // per queried node per relation that carries features. Of an 8-leaf
+  // tree's 15 nodes, the root and the smaller child of each of the first six
+  // splits are queried; each larger child's histograms are its parent's
+  // minus its sibling's (rmse's c counts rows), and the seventh split fills
+  // the tree, so its children are never evaluated. That is 1 + 6 = 7 x
+  // (feature relations) split queries.
   exec::Database db(EngineProfile::DSwap());
   Dataset ds = data::MakeFavorita(&db, TinyFavorita());
 
@@ -161,10 +164,47 @@ TEST(FavoritaIntegrationTest, Figure9QueryMix) {
     feature_rels.insert(ds.graph().RelationOfFeature(f));
   }
   EXPECT_LT(feature_rels.size(), ds.graph().AllFeatures().size());
-  EXPECT_EQ(res.feature_queries, 15 * feature_rels.size());
+  EXPECT_EQ(res.feature_queries, 7 * feature_rels.size());
   EXPECT_GT(res.message_queries, 0u);
   EXPECT_GT(res.cache_hits, 0u);
   EXPECT_TRUE(split_oracle::CheckModel(res.model, ds, params));
+}
+
+/// The split oracle on both sides of the sibling-subtraction rule, over
+/// gradients and hessians it derives from each loss itself. Under huber h
+/// is 1, so c counts rows and each split queries only its smaller child:
+/// 7 of an 8-leaf tree's 15 nodes, as in Figure9QueryMix. Under fair c is a
+/// hessian sum, so both children of the first six splits are queried:
+/// 1 + 2 x 6 = 13 nodes. Fair's c of 100 keeps each leaf's hessian sum
+/// above min_data_in_leaf, so its trees fill too.
+TEST(FavoritaIntegrationTest, GradientObjectivesPassSplitOracle) {
+  struct Case {
+    const char* objective;
+    double param;
+    size_t queried_nodes;
+  };
+  const Case cases[] = {{"huber", 0, 7}, {"fair", 100, 13}};
+  for (const auto& [objective, param, queried_nodes] : cases) {
+    SCOPED_TRACE(objective);
+    exec::Database db(EngineProfile::DSwap());
+    Dataset ds = data::MakeFavorita(&db, TinyFavorita());
+    core::TrainParams params;
+    params.objective = objective;
+    params.objective_param = param;
+    params.boosting = "gbdt";
+    params.num_iterations = 2;
+    params.num_leaves = 8;
+    TrainResult res = Train(params, ds);
+
+    std::set<int> feature_rels;
+    for (const auto& f : ds.graph().AllFeatures()) {
+      feature_rels.insert(ds.graph().RelationOfFeature(f));
+    }
+    for (const auto& tree : res.model.trees) EXPECT_EQ(tree.NumLeaves(), 8u);
+    EXPECT_EQ(res.feature_queries,
+              params.num_iterations * queried_nodes * feature_rels.size());
+    EXPECT_TRUE(split_oracle::CheckModel(res.model, ds, params));
+  }
 }
 
 }  // namespace

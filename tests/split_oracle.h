@@ -5,21 +5,27 @@
 /// the rows of the materialized join (core::MaterializeJoin), routes them
 /// with TreeModel::Predict, and scores every candidate split by brute force.
 ///
-/// For every node of every tree of an rmse gbdt or dt model, with the
-/// residuals y − PredictPrefix(t) of tree t, it checks:
-///  (a) the node's count equals the number of rows Predict routes through
-///      it, and its sum equals their residual sum within 1e-9 relative;
+/// For every node of every tree of a gbdt or dt model, it takes each row's
+/// gradient g = −∂L/∂p and hessian h = ∂²L/∂p² at PredictPrefix(t), the
+/// prediction of the trees before tree t. It derives them from the loss
+/// itself (RowGradient), sharing no code with semiring/objectives.cc; for
+/// rmse g is the residual y − p and h is 1. With c = Σh and s = Σg over a
+/// node's rows, it checks:
+///  (a) the node's count equals the c of the rows Predict routes through
+///      it, exactly when h is 1 (c counts rows) and within 1e-9 relative
+///      otherwise, and its sum equals their s within 1e-9 relative;
 ///  (b) an internal node's gain is within 1e-9 relative of the best
 ///        0.5·(s_L²/(c_L+λ) + s_R²/(c_R+λ) − S²/(C+λ))
 ///      over every feature and every non-NULL value v at the node whose
-///      split leaves at least min_data_in_leaf rows on each side: `f <= v`
+///      split leaves a c of at least min_data_in_leaf on each side: `f <= v`
 ///      for a numeric feature, `f = v` for a categorical one, NULL rows
 ///      right;
 ///  (c) when the tree has fewer than num_leaves leaves, no leaf that
 ///      max_depth lets split has a best gain above max(min_gain, 1e-12).
 ///
-/// Scope: snowflake schemas (no CPT cluster confinement) and every feature
-/// a candidate at every node, as gbdt and dt train them.
+/// Scope: the rmse, huber and fair objectives, snowflake schemas (no CPT
+/// cluster confinement) and every feature a candidate at every node, as
+/// gbdt and dt train them.
 
 #include <gtest/gtest.h>
 
@@ -30,6 +36,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -51,15 +58,45 @@ struct OracleFeature {
   std::vector<int64_t> code;
 };
 
+/// One row's g and h under `objective` at prediction p, from the loss:
+///   rmse   L = e²/2                                   g = e, h = 1
+///   huber  L = e²/2 if |e| <= δ, else δ(|e| − δ/2)    g = e or ±δ, h = 1
+///   fair   L = c|e| − c² ln(1 + |e|/c)                g = ce/(|e|+c),
+///                                                     h = c²/(|e|+c)²
+/// with e = y − p, and δ or c the objective parameter (1 unless positive).
+/// False for an objective the oracle does not cover.
+inline bool RowGradient(const std::string& objective, double param, double y,
+                        double p, double* g, double* h) {
+  const double e = y - p;
+  const double k = param > 0 ? param : 1.0;
+  if (objective == "regression" || objective == "rmse") {
+    *g = e;
+    *h = 1;
+  } else if (objective == "huber") {
+    *g = std::fabs(e) <= k ? e : (e > 0 ? k : -k);
+    *h = 1;
+  } else if (objective == "fair") {
+    const double a = std::fabs(e) + k;
+    *g = k * e / a;
+    *h = k * k / (a * a);
+  } else {
+    return false;
+  }
+  return true;
+}
+
 /// Best gain over every feature and non-NULL value for the rows `rows`, or
-/// -infinity when no split leaves min_leaf rows on both sides.
+/// -infinity when no split leaves a c of min_leaf on both sides.
 inline double BestGain(const std::vector<OracleFeature>& features,
                        const std::vector<uint32_t>& rows,
-                       const std::vector<double>& resid, double lambda,
+                       const std::vector<double>& grad,
+                       const std::vector<double>& hess, double lambda,
                        double min_leaf, std::string* best_split) {
-  const double C = static_cast<double>(rows.size());
-  double S = 0;
-  for (uint32_t r : rows) S += resid[r];
+  double C = 0, S = 0;
+  for (uint32_t r : rows) {
+    C += hess[r];
+    S += grad[r];
+  }
   auto gain = [&](double c, double s) {
     const double cr = C - c, sr = S - s;
     return 0.5 * (s * s / (c + lambda) + sr * sr / (cr + lambda) -
@@ -80,27 +117,28 @@ inline double BestGain(const std::vector<OracleFeature>& features,
       for (uint32_t r : rows) {
         if (f.code[r] == kNullInt64) continue;
         auto& cs = by_code[f.code[r]];
-        cs.first += 1;
-        cs.second += resid[r];
+        cs.first += hess[r];
+        cs.second += grad[r];
       }
       for (const auto& [code, cs] : by_code) {
         offer(cs.first, cs.second, f.name + " = #" + std::to_string(code));
       }
     } else {
-      std::vector<std::pair<double, double>> vals;  // (value, residual)
+      std::vector<std::tuple<double, double, double>> vals;  // (value, g, h)
       for (uint32_t r : rows) {
-        if (!std::isnan(f.num[r])) vals.push_back({f.num[r], resid[r]});
+        if (!std::isnan(f.num[r])) vals.push_back({f.num[r], grad[r], hess[r]});
       }
       std::sort(vals.begin(), vals.end());
       double c = 0, s = 0;
       for (size_t i = 0; i < vals.size(); ++i) {
-        c += 1;
-        s += vals[i].second;
-        if (i + 1 < vals.size() && vals[i + 1].first == vals[i].first) {
+        c += std::get<2>(vals[i]);
+        s += std::get<1>(vals[i]);
+        if (i + 1 < vals.size() &&
+            std::get<0>(vals[i + 1]) == std::get<0>(vals[i])) {
           continue;
         }
         std::ostringstream what;
-        what << f.name << " <= " << vals[i].first;
+        what << f.name << " <= " << std::get<0>(vals[i]);
         offer(c, s, what.str());
       }
     }
@@ -113,9 +151,14 @@ inline double BestGain(const std::vector<OracleFeature>& features,
 inline ::testing::AssertionResult CheckModel(const core::Ensemble& model,
                                              Dataset& ds,
                                              const core::TrainParams& params) {
-  if (params.objective != "regression" && params.objective != "rmse") {
-    return ::testing::AssertionFailure() << "oracle needs the rmse objective";
+  double unused_g, unused_h;
+  if (!RowGradient(params.objective, params.objective_param, 0, 0, &unused_g,
+                   &unused_h)) {
+    return ::testing::AssertionFailure()
+           << "oracle does not cover the " << params.objective << " objective";
   }
+  // Under rmse and huber h is 1, so c counts rows and is checked exactly.
+  const bool c_counts_rows = params.objective != "fair";
   if (model.average || (params.boosting != "gbdt" && params.boosting != "dt")) {
     return ::testing::AssertionFailure() << "oracle needs a gbdt or dt model";
   }
@@ -155,9 +198,10 @@ inline ::testing::AssertionResult CheckModel(const core::Ensemble& model,
     const size_t nodes = tree.nodes.size();
     core::Ensemble prefix = model;
     prefix.trees.resize(t);
-    std::vector<double> resid(n);
+    std::vector<double> grad(n), hess(n);
     for (size_t r = 0; r < n; ++r) {
-      resid[r] = eval.YValue(r) - eval.Predict(prefix, r);
+      RowGradient(params.objective, params.objective_param, eval.YValue(r),
+                  eval.Predict(prefix, r), &grad[r], &hess[r]);
     }
     // Route every row with Predict over a copy whose leaves predict their
     // own index, then charge the row to that leaf and its ancestors.
@@ -191,12 +235,17 @@ inline ::testing::AssertionResult CheckModel(const core::Ensemble& model,
     for (size_t i = 0; i < nodes; ++i) {
       const core::TreeNode& node = tree.nodes[i];
       const std::vector<uint32_t>& rows = rows_at[i];
-      double sum = 0;
-      for (uint32_t r : rows) sum += resid[r];
-      if (node.count != static_cast<double>(rows.size())) {
+      double count = 0, sum = 0;
+      for (uint32_t r : rows) {
+        count += hess[r];
+        sum += grad[r];
+      }
+      if (c_counts_rows ? node.count != count
+                        : !test_util::RelNear(node.count, count, 1e-9)) {
         std::ostringstream os;
-        os << "count " << node.count << ", Predict routes " << rows.size()
-           << " rows";
+        os.precision(17);
+        os << "count " << node.count << ", the " << rows.size()
+           << " rows Predict routes have c = " << count;
         fail(t, i, os.str());
       }
       if (!test_util::RelNear(node.sum, sum, 1e-9)) {
@@ -208,7 +257,7 @@ inline ::testing::AssertionResult CheckModel(const core::Ensemble& model,
       std::string best_split;
       if (!node.is_leaf) {
         const double best =
-            BestGain(features, rows, resid, params.lambda_l2,
+            BestGain(features, rows, grad, hess, params.lambda_l2,
                      params.min_data_in_leaf, &best_split);
         if (!test_util::RelNear(node.gain, best, 1e-9)) {
           std::ostringstream os;
@@ -220,7 +269,7 @@ inline ::testing::AssertionResult CheckModel(const core::Ensemble& model,
       } else if (stopped_early &&
                  (params.max_depth < 0 || depth[i] < params.max_depth)) {
         const double best =
-            BestGain(features, rows, resid, params.lambda_l2,
+            BestGain(features, rows, grad, hess, params.lambda_l2,
                      params.min_data_in_leaf, &best_split);
         if (best > floor) {
           std::ostringstream os;
