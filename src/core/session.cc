@@ -2,7 +2,9 @@
 
 #include <atomic>
 #include <cmath>
+#include <map>
 #include <sstream>
+#include <utility>
 
 #include "sql/printer.h"
 #include "util/check.h"
@@ -102,15 +104,16 @@ void Session::Rebind(int rel, const std::string& table) {
   fac_->BumpEpoch(rel);
 }
 
-void Session::LiftFact(int rel, bool with_y) {
+bool Session::LiftFact(int rel, bool with_y) {
   const graph::JoinGraph& g = data_->graph();
   exec::Database& db = *data_->db();
   const std::string& base = g.relation(rel).name;
   std::string lifted = prefix_ + "lift_" + base;
 
   const bool general = !residual_semiring_;
+  const bool plain = !with_y || y_rel_ == rel;
   std::ostringstream sql;
-  if (!with_y || y_rel_ == rel) {
+  if (plain) {
     sql << "CREATE TABLE " << lifted
         << " AS SELECT *, INT(COUNT(*) OVER ()) AS jb_rid";
     if (general) {
@@ -180,6 +183,7 @@ void Session::LiftFact(int rel, bool with_y) {
   }
   db.Execute(sql.str(), "lift");
   fact_tables_[static_cast<size_t>(rel)] = lifted;
+  return plain;
 }
 
 void Session::Prepare() {
@@ -208,7 +212,10 @@ void Session::Prepare() {
   fact_tables_.assign(g.num_relations(), "");
 
   // Base score from the factorized mean of Y over R⋈ (for boosting only).
+  // Its referential-completeness checks (anti-joins over the base fact) are
+  // kept for the training factorizer.
   const bool boosted = params_.boosting == "gbdt";
+  std::map<std::pair<int, int>, bool> ref_complete;
   if (boosted) {
     // Temporary factorizer annotating Y's original column directly.
     factor::FactorizerOptions fopts;
@@ -228,20 +235,20 @@ void Session::Prepare() {
     semiring::VarianceElem tot = pre.TotalAggregate(y_rel_, none, "setup");
     double mean = tot.c > 0 ? tot.s / tot.c : 0;
     base_score_ = objective_->InitFromMean(mean);
+    ref_complete = pre.ref_complete();
   }
 
   // Lift annotated working copies.
   int y_fact_rel = FactOf(y_rel_);
-  if (residual_semiring_) {
-    if (boosted && !is_snowflake()) {
-      // Galaxy gradient boosting: every cluster fact carries annotations so
-      // residual updates can land in any cluster (CPT, §4.2.2).
-      for (int f : cluster_facts_) LiftFact(f, /*with_y=*/f == y_fact_rel);
-    } else {
-      LiftFact(y_fact_rel, /*with_y=*/true);
+  bool plain_lifts = true;
+  if (residual_semiring_ && boosted && !is_snowflake()) {
+    // Galaxy gradient boosting: every cluster fact carries annotations so
+    // residual updates can land in any cluster (CPT, §4.2.2).
+    for (int f : cluster_facts_) {
+      plain_lifts &= LiftFact(f, /*with_y=*/f == y_fact_rel);
     }
   } else {
-    LiftFact(y_fact_rel, /*with_y=*/true);
+    plain_lifts = LiftFact(y_fact_rel, /*with_y=*/true);
   }
 
   // Bind the factorizer.
@@ -273,6 +280,9 @@ void Session::Prepare() {
     }
     fac_->BindRelation(static_cast<int>(r), b);
   }
+  // A lift that joins toward Y's dimension may drop fact rows, so the
+  // training factorizer checks completeness again.
+  if (plain_lifts) fac_->AdoptRefComplete(ref_complete);
 }
 
 }  // namespace core

@@ -69,7 +69,9 @@ class Session {
   void Cleanup();
 
  private:
-  void LiftFact(int rel, bool with_y);
+  /// Returns whether the lifted table is a plain copy of the base rows (it
+  /// is not when Y lives in a dimension and the lift joins toward it).
+  bool LiftFact(int rel, bool with_y);
 
   Dataset* data_;
   TrainParams params_;

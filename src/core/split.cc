@@ -182,7 +182,9 @@ HistogramSplit BestSplitFromHistogram(const Histogram& hist, bool categorical,
   const size_t n = bins.size();
   // A categorical bin stands alone (`f = v`); a numeric one takes the
   // running sums up to it in stable value order (`f <= v`), written back
-  // per bin. c and s accumulate independently.
+  // per bin. c and s accumulate independently. Bins whose keys compare
+  // equal (-0.0 and 0.0, which GROUP BY keeps apart by their bits) all
+  // satisfy `f <= v` together, so each takes the sums through the last.
   std::vector<double> cum_c, cum_s;
   if (!categorical) {
     std::vector<double> key(n);
@@ -194,11 +196,16 @@ HistogramSplit BestSplitFromHistogram(const Histogram& hist, bool categorical,
     cum_c.resize(n);
     cum_s.resize(n);
     double run_c = 0.0, run_s = 0.0;
-    for (uint32_t r : order) {
-      if (!IsNullFloat64(bins[r].c)) run_c += bins[r].c;
-      cum_c[r] = run_c;
-      if (!IsNullFloat64(bins[r].s)) run_s += bins[r].s;
-      cum_s[r] = run_s;
+    for (size_t i = 0, j = 0; i < n; i = j) {
+      do {
+        const uint32_t r = order[j];
+        if (!IsNullFloat64(bins[r].c)) run_c += bins[r].c;
+        if (!IsNullFloat64(bins[r].s)) run_s += bins[r].s;
+      } while (++j < n && key[order[j]] == key[order[i]]);
+      for (size_t k = i; k < j; ++k) {
+        cum_c[order[k]] = run_c;
+        cum_s[order[k]] = run_s;
+      }
     }
   }
 

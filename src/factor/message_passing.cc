@@ -149,9 +149,30 @@ const std::vector<int>& Factorizer::SubtreeRels(int u, int v) {
   return subtree_cache_.emplace(key, std::move(rels)).first->second;
 }
 
+bool Factorizer::SelectionPath(int from, int to) {
+  for (int r : SubtreeRels(from, to)) {
+    if (bindings_[static_cast<size_t>(r)].annotated) return false;
+  }
+  // Every relation's edge toward `to` must find it unique on its own side.
+  std::vector<std::pair<int, int>> stack = {{from, to}};
+  while (!stack.empty()) {
+    auto [cur, par] = stack.back();
+    stack.pop_back();
+    for (auto [n, e] : graph_->Neighbors(cur)) {
+      if (n != par) {
+        stack.emplace_back(n, cur);
+        continue;
+      }
+      const graph::Edge& ed = graph_->edges()[static_cast<size_t>(e)];
+      if (!((ed.a == cur) ? ed.unique_a : ed.unique_b)) return false;
+    }
+  }
+  return true;
+}
+
 bool Factorizer::RefComplete(int from, int to,
                              const std::vector<std::string>& keys) {
-  std::string key = std::to_string(from) + "_" + std::to_string(to);
+  const std::pair<int, int> key(from, to);
   auto it = ref_complete_cache_.find(key);
   if (it != ref_complete_cache_.end()) return it->second;
   const std::string& from_tbl = binding(from).table;
@@ -165,14 +186,26 @@ bool Factorizer::RefComplete(int from, int to,
   return complete;
 }
 
+void Factorizer::AdoptRefComplete(
+    const std::map<std::pair<int, int>, bool>& answers) {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
+  ref_complete_cache_.insert(answers.begin(), answers.end());
+}
+
 std::string Factorizer::CacheKey(const char* prefix, int from, int to,
-                                 const PredicateSet& preds) {
-  const std::vector<int>& rels = SubtreeRels(from, to);
+                                 const PredicateSet& preds, bool borrowed) {
   std::ostringstream os;
-  os << prefix << "|" << from << ">" << to << "|" << preds.Signature(rels)
-     << "|";
-  for (int r : rels) os << epochs_[static_cast<size_t>(r)] << ",";
+  os << prefix << "|" << from << ">" << to;
+  auto side = [&](const std::vector<int>& rels) {
+    os << "|" << preds.Signature(rels) << "|";
+    for (int r : rels) os << epochs_[static_cast<size_t>(r)] << ",";
+  };
+  side(SubtreeRels(from, to));
   os << "|q" << options_.track_q;
+  if (borrowed) {
+    os << "|to";
+    side(SubtreeRels(to, from));
+  }
   return os.str();
 }
 
@@ -268,41 +301,16 @@ Message Factorizer::PlanMessage(int from, int to, const PredicateSet& preds,
   const graph::Edge& edge = graph_->edges()[static_cast<size_t>(edge_idx)];
   const auto& keys = edge.keys;
 
-  // Does the subtree carry any annotation?
-  bool any_annotated = false;
-  for (int r : rels) any_annotated |= bindings_[static_cast<size_t>(r)].annotated;
-
-  // Identity-path test (Appendix D.2): unannotated subtree where *every*
-  // edge, oriented away from `to`, is N-to-1 (far side unique). Only then do
-  // join multiplicities stay 1 so that dropping the message (or reducing it
-  // to a semi-join) preserves annotations.
-  bool from_unique = (edge.a == from) ? edge.unique_a : edge.unique_b;
-  bool subtree_n1 = from_unique;
-  bool subtree_complete = true;
-  if (subtree_n1) {
-    std::vector<std::pair<int, int>> stack = {{from, to}};
-    while (!stack.empty() && subtree_n1) {
-      auto [cur, par] = stack.back();
-      stack.pop_back();
-      for (auto [n, e] : graph_->Neighbors(cur)) {
-        if (n == par) continue;
-        const graph::Edge& ed = graph_->edges()[static_cast<size_t>(e)];
-        bool n_unique = (ed.a == n) ? ed.unique_a : ed.unique_b;
-        if (!n_unique) {
-          subtree_n1 = false;
-          break;
-        }
-        stack.emplace_back(n, cur);
-      }
-    }
-  }
-  bool identity = !any_annotated && subtree_n1;
+  // Identity-path test (Appendix D.2): only on a selection path do join
+  // multiplicities stay 1, so that dropping the message (or reducing it to a
+  // semi-join) preserves annotations.
+  const bool identity = SelectionPath(from, to);
   if (identity) {
     if (!preds.AnyIn(rels)) {
       // No predicates: droppable only if no join along the subtree can
       // filter its parent (referential completeness on every edge).
       std::vector<std::pair<int, int>> stack = {{from, to}};
-      subtree_complete = RefComplete(from, to, keys);
+      bool subtree_complete = RefComplete(from, to, keys);
       while (!stack.empty() && subtree_complete) {
         auto [cur, par] = stack.back();
         stack.pop_back();
@@ -325,10 +333,29 @@ Message Factorizer::PlanMessage(int from, int to, const PredicateSet& preds,
     }
   }
 
-  // Full semi-ring message.
+  // Full semi-ring message. A miss whose target side is a selection path
+  // carrying predicates also semi-joins the target's own selector (borrows
+  // it), so its input is that of the other messages from `from` and Flush
+  // computes it in their shared scan. The selector holds this message's
+  // group keys, so it drops only groups that the target side's absorption
+  // drops anyway. Without the cache each selector is a fresh table, the
+  // inputs differ anyway, and nothing is borrowed.
+  const bool borrow = options_.cache_messages &&
+                      preds.AnyIn(SubtreeRels(to, from)) &&
+                      SelectionPath(to, from);
+  // The plain key first: a parent's message, computed before the target
+  // side was predicated, holds every group and still serves. A borrowed
+  // message is keyed on the target side's predicates too. So is any message
+  // whose input joins a borrowed one: the borrowed side holds its target
+  // side, which is then a selection path too, so it borrows whenever that
+  // side carries predicates; predicates elsewhere are in its plain key.
   std::string key = CacheKey("msg", from, to, preds);
   if (options_.cache_messages) {
     auto it = cache_.find(key);
+    if (it == cache_.end() && borrow) {
+      key = CacheKey("msg", from, to, preds, /*borrowed=*/true);
+      it = cache_.find(key);
+    }
     if (it != cache_.end()) {
       ++cache_hits_;
       return it->second;
@@ -339,13 +366,15 @@ Message Factorizer::PlanMessage(int from, int to, const PredicateSet& preds,
   const RelationBinding& bind = binding(from);
   const std::string& tbl = bind.table;
 
-  // Gather child messages.
+  // Gather child messages, and the borrowed selector in its neighbour
+  // position, so that every message from `from` lists its semi-joins alike.
   std::vector<Message> full_children;
   std::vector<Message> sel_children;
   for (auto [n, e] : graph_->Neighbors(from)) {
-    if (n == to) continue;
     (void)e;
-    Message child = PlanMessage(n, from, preds, tag);
+    Message child = n != to   ? PlanMessage(n, from, preds, tag)
+                    : borrow ? GetSelector(to, from, preds, tag)
+                             : Message{};
     if (child.kind == Message::Kind::kFull) {
       full_children.push_back(std::move(child));
     } else if (child.kind == Message::Kind::kSelection) {

@@ -5,6 +5,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "exec/engine.h"
@@ -92,10 +93,14 @@ struct FactorizerOptions {
 /// missing full message, then materializes them together. Misses with the
 /// same FROM/JOIN/WHERE input and aggregates are computed by one GROUP BY
 /// GROUPING SETS statement and split into their message tables; a histogram
-/// with that input (BatchedHistograms) joins the same statement. Message
-/// names, contents, row order and cache keys are those of computing each
-/// message on its own, except that two same-input messages with one key
-/// list share the first one's table.
+/// with that input (BatchedHistograms) joins the same statement. A split
+/// table holds what the message's own GROUP BY over that input would, in
+/// the same row order; two same-input messages with one key list share the
+/// first one's table. A missing message toward a predicated selection path
+/// also semi-joins its target's own selector, so that all of a tree node's
+/// messages from one relation read one input: it then lacks only groups
+/// that the target side's absorption drops anyway, and is cached under a
+/// key that also names the target side's predicates (PlanMessage).
 ///
 /// Thread safety: every public entry point serializes on an internal
 /// recursive mutex, so one Factorizer may be shared by concurrent callers
@@ -178,6 +183,15 @@ class Factorizer {
     return messages_materialized_;
   }
 
+  /// Referential-completeness answers so far, by (from, to) relation pair.
+  std::map<std::pair<int, int>, bool> ref_complete() const {
+    std::lock_guard<std::recursive_mutex> lock(mu_);
+    return ref_complete_cache_;
+  }
+  /// Reuse answers checked over tables whose join-key columns hold the same
+  /// rows as this factorizer's (a lifted plain copy of a base table).
+  void AdoptRefComplete(const std::map<std::pair<int, int>, bool>& answers);
+
   /// Drop all cached message tables.
   void ClearCache();
 
@@ -188,12 +202,19 @@ class Factorizer {
   /// Relations reachable from `u` without crossing `v` (memoized).
   const std::vector<int>& SubtreeRels(int u, int v);
 
+  /// True when the relations reachable from `from` without crossing `to`
+  /// are unannotated and each one's edge toward `to` is N-to-1 (unique on
+  /// its own side): a message along it is an identity or a selection.
+  bool SelectionPath(int from, int to);
+
   /// True when every key of `to` finds a partner in `from` (lazily checked,
   /// memoized): required to drop identity messages (Appendix D.2).
   bool RefComplete(int from, int to, const std::vector<std::string>& keys);
 
+  /// Names the predicates and epochs of `from`'s side, plus those of `to`'s
+  /// side when the message borrowed `to`'s selector.
   std::string CacheKey(const char* prefix, int from, int to,
-                       const PredicateSet& preds);
+                       const PredicateSet& preds, bool borrowed = false);
   std::string NewTempName();
 
   /// A full message planned but not yet materialized. Its statement is
@@ -254,7 +275,7 @@ class Factorizer {
 
   std::unordered_map<std::string, Message> cache_;
   std::unordered_map<std::string, std::vector<int>> subtree_cache_;
-  std::unordered_map<std::string, bool> ref_complete_cache_;
+  std::map<std::pair<int, int>, bool> ref_complete_cache_;
   std::vector<std::string> owned_tables_;
   std::vector<PendingMessage> pending_;
   size_t cache_hits_ = 0;

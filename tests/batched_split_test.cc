@@ -501,6 +501,115 @@ TEST(SiblingSubtractionTest, SharedScanCategoricalFactPassesSplitOracle) {
   }
 }
 
+/// Snowflake fact -> d1 -> d1a, N:1 on each edge. Below a split on d1a's g,
+/// fact->d1 and d1->d1a borrow d1a's selector and lack the groups that the
+/// branch's g predicate drops; d1->d1a also joins the borrowed fact->d1. The
+/// target steps at g = 5, at x0 = 5, and at g = 2 and g = 8 inside the two
+/// branches: both branches split at x0 <= 5, so their children share every
+/// predicate outside d1a, and each still has a g split to find. A key that
+/// ignored d1a's predicates would hand one branch's d1->d1a to the other.
+/// Fair's c = 100 queries both children of every split.
+TEST(BatchedSplitTest, SnowflakeBorrowedMessagesPassSplitOracle) {
+  for (const char* objective : {"rmse", "fair"}) {
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(std::string(objective) + " threads=" +
+                   std::to_string(threads));
+      Database db(Profile(/*use_planner=*/true, threads));
+      Rng rng(77);
+      const int64_t kD1 = 60, kD1a = 12;
+      std::vector<int64_t> d1k, d1ak, d1a_keys;
+      std::vector<double> f1, g;
+      for (int64_t i = 0; i < kD1a; ++i) {
+        d1a_keys.push_back(i);
+        g.push_back(static_cast<double>(i));
+      }
+      for (int64_t i = 0; i < kD1; ++i) {
+        d1k.push_back(i);
+        d1ak.push_back(rng.NextInt(0, kD1a - 1));
+        f1.push_back(static_cast<double>(rng.NextInt(1, 50)));
+      }
+      const size_t rows = 6000;
+      std::vector<int64_t> k1(rows);
+      std::vector<double> x0(rows), y(rows);
+      for (size_t i = 0; i < rows; ++i) {
+        k1[i] = rng.NextInt(0, kD1 - 1);
+        x0[i] = static_cast<double>(rng.NextInt(0, 9));
+        const int64_t a = d1ak[static_cast<size_t>(k1[i])];
+        const double gv = g[static_cast<size_t>(a)];
+        y[i] = (gv > 2 ? 1.5 : 0.0) + (gv > 5 ? 6.0 : 0.0) +
+               (gv > 8 ? 1.5 : 0.0) + (x0[i] > 5 ? 3.0 : 0.0) +
+               0.3 * rng.NextGaussian();
+      }
+      db.RegisterTable(TableBuilder("fact")
+                           .AddInts("k1", k1)
+                           .AddDoubles("x0", x0)
+                           .AddDoubles("y", y)
+                           .Build());
+      db.RegisterTable(TableBuilder("d1")
+                           .AddInts("k1", d1k)
+                           .AddInts("k1a", d1ak)
+                           .AddDoubles("f1", f1)
+                           .Build());
+      db.RegisterTable(TableBuilder("d1a")
+                           .AddInts("k1a", d1a_keys)
+                           .AddDoubles("g", g)
+                           .Build());
+      Dataset ds(&db);
+      ds.AddTable("fact", {"x0"}, "y");
+      ds.AddTable("d1", {"f1"});
+      ds.AddTable("d1a", {"g"});
+      ds.AddJoin("fact", "d1", {"k1"});
+      ds.AddJoin("d1", "d1a", {"k1a"});
+      core::TrainParams params;
+      params.objective = objective;
+      params.objective_param = std::string(objective) == "fair" ? 100 : 0;
+      params.boosting = "gbdt";
+      params.num_iterations = 3;
+      params.num_leaves = 8;
+      const core::Ensemble model = Train(params, ds).model;
+      EXPECT_TRUE(split_oracle::CheckModel(model, ds, params));
+    }
+  }
+}
+
+/// A fact feature holding both -0.0 and 0.0: GROUP BY bins them apart, while
+/// the split predicate and Predict treat them as one value. The root must
+/// split at ±0 with both bins' rows on the left, as the oracle checks.
+TEST(BatchedSplitTest, SignedZerosSplitAsOneValue) {
+  Database db(Profile(/*use_planner=*/true, /*threads=*/1));
+  std::vector<int64_t> k;
+  std::vector<double> x, y;
+  for (int i = 0; i < 100; ++i) {
+    k.push_back(i % 5);
+    x.push_back(i < 30 ? -0.0 : (i < 60 ? 0.0 : 1.0));
+    y.push_back(i < 30 ? 10.0 : 0.0);
+  }
+  db.RegisterTable(TableBuilder("fact")
+                       .AddInts("k", k)
+                       .AddDoubles("x", x)
+                       .AddDoubles("y", y)
+                       .Build());
+  db.RegisterTable(TableBuilder("dim")
+                       .AddInts("k", {0, 1, 2, 3, 4})
+                       .AddDoubles("f", {1, 1, 1, 1, 1})
+                       .Build());
+  Dataset ds(&db);
+  ds.AddTable("fact", {"x"}, "y");
+  ds.AddTable("dim", {"f"});
+  ds.AddJoin("fact", "dim", {"k"});
+  core::TrainParams params;
+  params.boosting = "dt";
+  params.num_leaves = 2;
+  const core::Ensemble model = Train(params, ds).model;
+  ASSERT_EQ(model.trees.size(), 1u);
+  const core::TreeModel& tree = model.trees[0];
+  ASSERT_EQ(tree.nodes.size(), 3u);
+  EXPECT_EQ(tree.nodes[0].feature, "x");
+  EXPECT_EQ(tree.nodes[0].threshold, 0.0);
+  EXPECT_EQ(tree.nodes[static_cast<size_t>(tree.nodes[0].left)].count, 60.0);
+  EXPECT_TRUE(split_oracle::CheckModel(model, ds, params));
+}
+
 // ---------------------------------------------------------------------------
 // Kernel unit tests: the rules of BestSplitFromHistogram (core/split.h).
 // ---------------------------------------------------------------------------
@@ -615,6 +724,31 @@ TEST(BatchedSplitKernelTest, DivisionByZeroMirrorsSqlNull) {
   ASSERT_TRUE(hs.valid);
   EXPECT_EQ(hs.val.d, 1.0);
   EXPECT_TRUE(std::isnan(hs.criteria));
+}
+
+/// -0.0 and 0.0 compare equal, so `x <= -0` and `x <= 0` take the same
+/// rows, but GROUP BY keeps them in two bins. In either bin order, both
+/// bins must take the running sums through both: one candidate.
+TEST(BatchedSplitKernelTest, SignedZerosShareOneCandidate) {
+  core::CriterionParams p;
+  p.c_total = 100;
+  p.s_total = 300;
+  p.min_leaf = 1;
+  p.halved = true;
+  const core::Histogram::Bin neg = Bin(-0.0, 30, 300), pos = Bin(0.0, 30, 0),
+                             one = Bin(1.0, 40, 0);
+  for (const bool neg_first : {true, false}) {
+    SCOPED_TRACE(neg_first ? "-0.0 first" : "0.0 first");
+    const core::Histogram bins =
+        neg_first ? Hist({neg, pos, one}) : Hist({pos, neg, one});
+    core::HistogramSplit hs = core::BestSplitFromHistogram(bins, false, p);
+    ASSERT_TRUE(hs.valid);
+    // x <= 1 leaves nothing right; x <= ±0 takes 60 rows and all of s.
+    EXPECT_EQ(hs.val.d, 0.0);
+    EXPECT_EQ(hs.c, 60.0);
+    EXPECT_EQ(hs.s, 300.0);
+    EXPECT_EQ(hs.criteria, core::CriterionValue(60, 300, p));
+  }
 }
 
 /// A NULL bin (NaN or the int sentinel) is dropped where the histogram

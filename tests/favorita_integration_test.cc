@@ -170,6 +170,41 @@ TEST(FavoritaIntegrationTest, Figure9QueryMix) {
   EXPECT_TRUE(split_oracle::CheckModel(res.model, ds, params));
 }
 
+/// One fact pass per queried node. A node's message toward the relation its
+/// split predicate is on borrows that relation's selector, so it has the
+/// input of the node's other fact messages and joins their GROUPING SETS
+/// scan. Each tree queries 7 nodes (Figure9QueryMix) and computes its total
+/// once, so it reads the fact in 1 + 7 message statements, none of them a
+/// single-message GROUP BY (without borrowing a tree read it in 18).
+TEST(FavoritaIntegrationTest, OneFactScanPerQueriedNode) {
+  exec::Database db(EngineProfile::DSwap());
+  Dataset ds = data::MakeFavorita(&db, TinyFavorita());
+  core::TrainParams params;
+  params.boosting = "gbdt";
+  params.num_iterations = 2;
+  params.num_leaves = 8;
+  db.ClearQueryLog();
+  TrainResult res = Train(params, ds);
+
+  const std::regex fact_scan("FROM jb[0-9]+_lift_sales( |$)");
+  size_t totals = 0, shared = 0, single = 0;
+  for (const auto& e : db.QueryLog()) {
+    if (e.tag != "message" || !std::regex_search(e.sql, fact_scan)) continue;
+    if (e.sql.find("GROUPING SETS") != std::string::npos) {
+      ++shared;
+    } else if (e.sql.find("GROUP BY") != std::string::npos) {
+      ++single;
+    } else {
+      ++totals;
+    }
+  }
+  const size_t trees = static_cast<size_t>(params.num_iterations);
+  EXPECT_EQ(totals, trees * 1);
+  EXPECT_EQ(shared, trees * 7);
+  EXPECT_EQ(single, 0u);
+  EXPECT_TRUE(split_oracle::CheckModel(res.model, ds, params));
+}
+
 /// The split oracle on both sides of the sibling-subtraction rule, over
 /// gradients and hessians it derives from each loss itself. Under huber h
 /// is 1, so c counts rows and each split queries only its smaller child:

@@ -436,7 +436,9 @@ TEST_F(SharedScanTest, SharedMessagesMatchStandaloneGroupBy) {
   ASSERT_EQ(hists.shared_tables.size(), 1u);
 
   // Each message comes back from the cache; its table must hold exactly
-  // what the single-message GROUP BY computes, in the same row order.
+  // what the single-message GROUP BY computes, in the same row order. The
+  // message to da borrows da's own selector, so every message reads the
+  // fact semi-joined with it.
   const std::string f = session_->FactTable(kFact);
   factor::Message sel = fac.GetMessage(kDa, kFact, preds, "test");
   ASSERT_EQ(sel.kind, factor::Message::Kind::kSelection);
@@ -448,7 +450,7 @@ TEST_F(SharedScanTest, SharedMessagesMatchStandaloneGroupBy) {
     std::string join;
   };
   const Expect expects[] = {
-      {kDa, "k_a", ""}, {kDb, "k_b", semi}, {kDd1, "k_d", semi},
+      {kDa, "k_a", semi}, {kDb, "k_b", semi}, {kDd1, "k_d", semi},
       {kDd2, "k_d", semi}};
   for (const Expect& e : expects) {
     factor::Message m = fac.GetMessage(kFact, e.to, preds, "test");
@@ -476,10 +478,11 @@ TEST_F(SharedScanTest, SharedMessagesMatchStandaloneGroupBy) {
 
 TEST_F(SharedScanTest, OneFactPassPerDistinctInput) {
   session_->fac().BatchedHistograms(Requests(), LeafPreds(), "message");
-  // Inputs: the fact semi-joined with da's selector (messages to db, dd1,
-  // dd2 and the fact histogram) and the bare fact (message to da). One
-  // statement each; computed one by one they were five.
-  EXPECT_EQ(FactPasses("message"), 2u);
+  // One input: the fact semi-joined with da's selector, which the message
+  // to da borrows and the messages to db, dd1 and dd2 and the fact
+  // histogram read anyway. 4 messages + 1 histogram = 5 statements one by
+  // one; 2 (the bare fact for da) before borrowing; 1 now.
+  EXPECT_EQ(FactPasses("message"), 1u);
 }
 
 TEST_F(SharedScanTest, SameKeyListSharesOneTable) {
@@ -518,9 +521,10 @@ TEST_F(SharedScanTest, SmallRelationHistogramKeepsItsOwnQuery) {
   EXPECT_TRUE(hists.shared_tables.empty());
   EXPECT_EQ(hists.sql[0].find("_sets"), std::string::npos);
   EXPECT_NE(hists.sql[0].find("GROUP BY GROUPING SETS"), std::string::npos);
-  // The messages still share their scan: combined + bare-fact message. With
-  // no histogram to read it, the shared table is dropped after the splits.
-  EXPECT_EQ(FactPasses("message"), 2u);
+  // The four messages still share one scan (the message to da borrows da's
+  // selector). With no histogram to read it, the shared table is dropped
+  // after the splits.
+  EXPECT_EQ(FactPasses("message"), 1u);
   EXPECT_EQ(SharedTablesLeft(), 0u);
 }
 
