@@ -83,6 +83,10 @@ Ensemble RandomForest::Train() {
   model.base_score = 0;
   model.average = true;
   model.trees.resize(static_cast<size_t>(params_.num_iterations));
+  // Referential completeness into the fact, checked once over the whole
+  // (lifted) fact before any tree starts: each tree's factorizer adopts the
+  // complete answers, which hold for its sample too.
+  session_->fac().CheckRefCompleteInto(session_->y_fact());
   if (params_.inter_query_parallelism) {
     // Tree-wise parallelism (§5.5.3): each tree has its own sample table and
     // factorizer; the engine serializes catalog access internally.

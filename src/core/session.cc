@@ -94,6 +94,15 @@ std::unique_ptr<factor::Factorizer> Session::MakeFactorizer(
     if (static_cast<int>(r) == rel_override) b.table = table_override;
     out->BindRelation(static_cast<int>(r), b);
   }
+  // The override's rows are a subset of the session table's, so every key
+  // complete there is complete here. An incomplete answer may not hold for
+  // the subset, and one whose `from` side is the override depends on which
+  // rows it kept: the new factorizer checks those itself.
+  std::map<std::pair<int, int>, bool> complete;
+  for (const auto& [rels, ok] : fac_->ref_complete()) {
+    if (ok && rels.first != rel_override) complete.emplace(rels, ok);
+  }
+  out->AdoptRefComplete(complete);
   return out;
 }
 

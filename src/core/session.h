@@ -55,8 +55,11 @@ class Session {
   void Rebind(int rel, const std::string& table);
 
   /// A fresh factorizer with this session's bindings, with `rel_override`
-  /// pointed at `table_override` (used by per-tree forest sampling; each
-  /// tree owns its message cache so trees can train in parallel).
+  /// pointed at `table_override`, a subset of its rows (used by per-tree
+  /// forest sampling; each tree owns its message cache so trees can train in
+  /// parallel). It adopts the session factorizer's complete
+  /// referential-completeness answers, except those whose `from` side is
+  /// the override.
   std::unique_ptr<factor::Factorizer> MakeFactorizer(
       int rel_override, const std::string& table_override,
       const std::string& temp_prefix);

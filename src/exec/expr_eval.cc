@@ -13,11 +13,19 @@
 namespace joinboost {
 namespace exec {
 
-/// The subquery's result rows, hashed like a semi-join build side. A probe
-/// row is a member when some result row equals it cell by cell
-/// (RowsEqual); hash equality alone never decides.
+/// The subquery's result rows, the build side of a semi-join probe. Integer
+/// keys whose box is small index a presence array by their slot (the array
+/// path); otherwise a probe row is a member when some result row with its
+/// hash equals it cell by cell (RowsEqual), since hash equality alone never
+/// decides. The hash table is built on first use, so a boxed set probed by
+/// a float still answers.
 struct InSubquerySet {
   std::vector<VectorData> keys;  ///< one per subquery result column
+  size_t rows = 0;               ///< result rows
+  morsel::KeyBox box;
+  std::vector<uint8_t> present;  ///< per box slot; empty unless boxed
+  bool boxed = false;
+  bool hashed = false;
   hash::JoinHashTable table;     ///< over the result rows' key hashes
 };
 
@@ -320,9 +328,11 @@ VectorData EvalCase(const sql::Expr& e, const ExecTable& input,
 }
 
 /// The membership set of IN node `e`, built on first use per distinct
-/// subquery text (see EvalContext::in_sets).
-const InSubquerySet& GetOrBuildInSubquerySet(const sql::Expr& e,
-                                             EvalContext& ctx) {
+/// subquery text (see EvalContext::in_sets). It takes the array path when
+/// its keys fit a box of at most kBoxSlotsPerRow slots per result row and
+/// probe row of the evaluation that builds it.
+InSubquerySet& GetOrBuildInSubquerySet(const sql::Expr& e, size_t probe_rows,
+                                       EvalContext& ctx) {
   auto by_node = ctx.in_sets.find(&e);
   if (by_node != ctx.in_sets.end()) return *by_node->second;
   std::string text = sql::ToSql(*e.subquery);
@@ -331,14 +341,23 @@ const InSubquerySet& GetOrBuildInSubquerySet(const sql::Expr& e,
     JB_CHECK_MSG(ctx.run_subquery, "no subquery runner in context");
     ExecTable sub = ctx.run_subquery(*e.subquery);
     auto set = std::make_shared<InSubquerySet>();
+    set->rows = sub.rows;
     std::vector<const VectorData*> keys;
     set->keys.reserve(sub.cols.size());
     for (auto& c : sub.cols) {
       set->keys.push_back(std::move(c.data));
       keys.push_back(&set->keys.back());
     }
-    std::vector<uint64_t> hashes = morsel::HashKeys(keys, sub.rows, OpContext{});
-    set->table.Build(hashes.data(), sub.rows);
+    set->boxed = morsel::FitKeyBox(
+        keys, sub.rows, /*null_slot=*/false,
+        morsel::kBoxSlotsPerRow * (sub.rows + probe_rows), &set->box);
+    if (set->boxed) {
+      set->present.assign(set->box.size, 0);
+      for (uint32_t s :
+           morsel::BoxSlots(set->box, keys, sub.rows, OpContext{})) {
+        if (s != morsel::kNoSlot) set->present[s] = 1;
+      }
+    }
     by_sql = ctx.in_sets_by_sql.emplace(std::move(text), std::move(set)).first;
   }
   ctx.in_sets.emplace(&e, by_sql->second);
@@ -356,7 +375,7 @@ VectorData EvalInSubquery(const sql::Expr& e, const ExecTable& input,
   probes.reserve(e.args.size());
   for (const auto& a : e.args) probes.push_back(EvalExpr(*a, input, ctx));
   if (rows == 0) return VectorData::FromInts({});
-  const InSubquerySet& set = GetOrBuildInSubquerySet(e, ctx);
+  InSubquerySet& set = GetOrBuildInSubquerySet(e, rows, ctx);
   JB_CHECK_MSG(set.keys.size() == probes.size(),
                "IN subquery returns " << set.keys.size() << " column(s) for "
                                       << probes.size() << " probe value(s)");
@@ -366,8 +385,23 @@ VectorData EvalInSubquery(const sql::Expr& e, const ExecTable& input,
     pk.push_back(&probes[i]);
     bk.push_back(&set.keys[i]);
   }
-  std::vector<uint64_t> hashes = morsel::HashKeys(pk, rows, OpContext{});
   std::vector<int64_t> out(rows);
+  if (set.boxed && morsel::IntKeys(pk)) {
+    // A NULL or out-of-box probe has no slot.
+    std::vector<uint32_t> slots = morsel::BoxSlots(set.box, pk, rows,
+                                                   OpContext{});
+    for (size_t r = 0; r < rows; ++r) {
+      const bool found = slots[r] != morsel::kNoSlot && set.present[slots[r]];
+      out[r] = (found != e.negated) ? 1 : 0;
+    }
+    return VectorData::FromInts(std::move(out));
+  }
+  if (!set.hashed) {
+    std::vector<uint64_t> hashes = morsel::HashKeys(bk, set.rows, OpContext{});
+    set.table.Build(hashes.data(), set.rows);
+    set.hashed = true;
+  }
+  std::vector<uint64_t> hashes = morsel::HashKeys(pk, rows, OpContext{});
   for (size_t r = 0; r < rows; ++r) {
     bool found = false;
     bool null_probe = false;

@@ -42,9 +42,8 @@ struct EvalContext {
   /// selector runs it once. `in_sets` is looked up first, per predicate
   /// node: row-mode scalar evaluation re-enters the vectorized path once per
   /// input row and must not print the subquery each time.
-  std::unordered_map<const sql::Expr*, std::shared_ptr<const InSubquerySet>>
-      in_sets;
-  std::unordered_map<std::string, std::shared_ptr<const InSubquerySet>>
+  std::unordered_map<const sql::Expr*, std::shared_ptr<InSubquerySet>> in_sets;
+  std::unordered_map<std::string, std::shared_ptr<InSubquerySet>>
       in_sets_by_sql;
 
   /// IN (...) literal lists translated per (predicate node, probe

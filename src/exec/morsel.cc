@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 
 #include "sql/expr_util.h"
 #include "storage/compression.h"
@@ -480,6 +481,88 @@ std::vector<uint64_t> HashKeys(const std::vector<const VectorData*>& keys,
         MixColumnHashEncoded(*k->enc, begin, end, out.data());
       } else {
         MixColumnHash(*k, begin, end, out.data());
+      }
+    }
+  });
+  return out;
+}
+
+bool IntKeys(const std::vector<const VectorData*>& keys) {
+  for (const auto* k : keys) {
+    if (k->type == TypeId::kFloat64) return false;
+  }
+  return true;
+}
+
+bool FitKeyBox(const std::vector<const VectorData*>& keys, size_t rows,
+               bool null_slot, uint64_t limit, KeyBox* box) {
+  if (!IntKeys(keys)) return false;
+  // Slots are uint32 with kNoSlot reserved.
+  limit = std::min<uint64_t>(limit, kNoSlot);
+  box->null_slot = null_slot;
+  box->mins.assign(keys.size(), 0);
+  box->spans.assign(keys.size(), 0);
+  box->strides.assign(keys.size(), 0);
+  uint64_t size = 1;
+  for (size_t c = 0; c < keys.size(); ++c) {
+    const int64_t* v = keys[c]->ints->data();
+    // NULL (INT64_MIN) cannot lower `hi`, and is lifted out of `lo`'s way,
+    // so one branch-free pass finds the non-NULL range.
+    int64_t lo = std::numeric_limits<int64_t>::max();
+    int64_t hi = std::numeric_limits<int64_t>::min();
+    for (size_t r = 0; r < rows; ++r) {
+      const int64_t x = v[r];
+      lo = std::min(lo, x == kNullInt64 ? std::numeric_limits<int64_t>::max()
+                                        : x);
+      hi = std::max(hi, x);
+    }
+    // lo > INT64_MIN, so hi - lo + 1 <= 2^64 - 1 fits in uint64.
+    const uint64_t span =
+        lo > hi ? 0 : static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo) + 1;
+    if (span > limit) return false;
+    const uint64_t width = span + (null_slot ? 1 : 0);
+    box->mins[c] = static_cast<uint64_t>(lo);
+    box->spans[c] = span;
+    box->strides[c] = size;
+    if (width == 0 || size == 0) {
+      size = 0;  // no slots; the remaining columns still must fit the limit
+    } else if (width > limit / size) {
+      return false;
+    } else {
+      size *= width;
+    }
+  }
+  box->size = size;
+  return true;
+}
+
+std::vector<uint32_t> BoxSlots(const KeyBox& box,
+                               const std::vector<const VectorData*>& keys,
+                               size_t rows, const OpContext& ctx) {
+  std::vector<uint32_t> out(rows, box.size == 0 ? kNoSlot : 0);
+  if (box.size == 0) return out;
+  ForEachMorsel(ctx, rows, [&](size_t, size_t begin, size_t end) {
+    for (size_t c = 0; c < keys.size(); ++c) {
+      const int64_t* v = keys[c]->ints->data();
+      const uint64_t lo = box.mins[c];
+      const uint64_t span = box.spans[c];
+      const uint64_t stride = box.strides[c];
+      // Every offset, the NULL slot's (span * stride) included, stays below
+      // box.size <= kNoSlot, so neither products nor sums overflow.
+      for (size_t r = begin; r < end; ++r) {
+        if (out[r] == kNoSlot) continue;
+        const int64_t x = v[r];
+        const uint64_t d = static_cast<uint64_t>(x) - lo;
+        uint64_t add;
+        if (d < span) {
+          add = d * stride;
+        } else if (x == kNullInt64 && box.null_slot) {
+          add = span * stride;
+        } else {
+          out[r] = kNoSlot;
+          continue;
+        }
+        out[r] = static_cast<uint32_t>(out[r] + add);
       }
     }
   });

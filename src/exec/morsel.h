@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -119,6 +120,45 @@ constexpr uint64_t kKeyHashSeed = 0xABCDEF0123456789ULL;
 /// per-tuple Value-materializing hashing — the genuine cost structure of a
 /// row engine — which computes the same hash values.
 std::vector<uint64_t> HashKeys(const std::vector<const VectorData*>& keys,
+                               size_t rows, const OpContext& ctx);
+
+/// The array path's stand-in for key hashing: a box over integer key
+/// columns (int64 values or dictionary codes), per column the [min, max] of
+/// its non-NULL values plus, with `null_slot`, one offset for NULL. A row's
+/// offset in the box is its slot. GROUP BY asks for the NULL slot (NULL is
+/// one group); a join or IN key with a NULL matches nothing, so it does not.
+struct KeyBox {
+  std::vector<uint64_t> mins;     ///< per column, the min as unsigned bits
+  std::vector<uint64_t> spans;    ///< per column: max - min + 1, or 0
+  std::vector<uint64_t> strides;  ///< per column: product of earlier widths
+  bool null_slot = false;
+  /// Slots in the box; 0 when a column has no non-NULL value and no NULL
+  /// slot, so no row has a slot.
+  uint64_t size = 0;
+};
+
+/// A row whose key has no slot in its box (NULL, or outside [min, max]).
+constexpr uint32_t kNoSlot = UINT32_MAX;
+
+/// The array path is taken when the box has at most this many slots per row
+/// the operator handles, so its array is no larger than the per-row hashes
+/// it replaces.
+constexpr uint64_t kBoxSlotsPerRow = 2;
+
+/// True when every key column holds integers (int64 values or dictionary
+/// codes), which both sides of an array-path join or IN need.
+bool IntKeys(const std::vector<const VectorData*>& keys);
+
+/// Fit `keys` (rows [0, rows)) into `box`. False when a key column is a
+/// float or the box would hold more than `limit` slots. Spans and the slot
+/// count are computed in unsigned arithmetic that cannot overflow.
+bool FitKeyBox(const std::vector<const VectorData*>& keys, size_t rows,
+               bool null_slot, uint64_t limit, KeyBox* box);
+
+/// Per-row slots of `keys` in `box` (kNoSlot for a row without one): one
+/// column at a time, morsel-parallel like HashKeys.
+std::vector<uint32_t> BoxSlots(const KeyBox& box,
+                               const std::vector<const VectorData*>& keys,
                                size_t rows, const OpContext& ctx);
 
 /// Partition rows [0, n) by precomputed hash so partition p owns every row

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <limits>
 
 #include "exec/compressed_scan.h"
@@ -74,9 +75,9 @@ VectorData AlignDictionary(const VectorData& probe, const VectorData& build) {
     return probe;
   }
   // Build codes are dense non-negatives or the NULL sentinel, so a string
-  // absent from the build dictionary gets a code that matches nothing,
-  // while NULL still pairs with NULL — exactly the semantics of a
-  // shared-dictionary code comparison.
+  // absent from the build dictionary gets a code that matches nothing. NULL
+  // stays NULL, which joins and IN never match, as with a shared
+  // dictionary.
   constexpr int64_t kAbsentCode = kNullInt64 + 1;
   const Dictionary& pd = *probe.dict;
   const Dictionary& bd = *build.dict;
@@ -268,6 +269,17 @@ ExecTable ConcatColumns(ExecTable left, ExecTable right) {
   return left;
 }
 
+namespace {
+
+bool AnyNullKey(const std::vector<const VectorData*>& keys, size_t row) {
+  for (const auto* k : keys) {
+    if (k->IsNull(row)) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
 ExecTable HashJoinExec(const ExecTable& left, const ExecTable& right,
                        const std::vector<int>& left_keys,
                        const std::vector<int>& right_keys, sql::JoinType type,
@@ -289,71 +301,144 @@ ExecTable HashJoinExec(const ExecTable& left, const ExecTable& right,
     lk[i] = &aligned.back();
   }
 
-  // Hash both key sides column-at-a-time (type dispatched once per column
-  // per morsel, not once per cell); row-mode profiles keep per-tuple Value
-  // hashing inside HashKeys.
-  std::vector<uint64_t> rhash = morsel::HashKeys(rk, right.rows, ctx);
-
-  // Build on the right input (messages / dimension tables are small) into a
-  // bucket-chained flat table: duplicate rows per key hash are linked
-  // through one next[] array, so the build is two flat arrays and zero
-  // per-key allocations. Large build sides are hash-partitioned and built
-  // by per-thread partitions in parallel: partition p owns every hash with
-  // h % P == p, and each builder scans its rows in ascending order, so row
-  // chains are identical to the single-table serial build (probe match
-  // order — and thus output order — is bit-identical for any P).
-  const size_t P =
-      ctx.CanParallel(right.rows) ? static_cast<size_t>(ctx.threads) : 1;
-  // The build's directory + chain arrays are a tracked allocation, charged
-  // with the canonical (partition-independent) footprint before building.
-  ChargeTracked(ctx, CanonicalHashBytes(right.rows, right.rows));
-  std::vector<hash::JoinHashTable> parts(P);
-  std::vector<uint32_t> shared_next;
-  if (P == 1) {
-    parts[0].Build(rhash.data(), right.rows);
-  } else {
-    std::vector<std::vector<uint32_t>> prows =
-        morsel::PartitionRowsByHash(ctx, rhash, P);
-    // Partitions own disjoint row sets, so they can chain through one
-    // shared next[] array with disjoint writes.
-    shared_next.resize(right.rows);
-    ctx.pool->ParallelFor(P, [&](size_t p) {
-      parts[p].BuildPartition(rhash.data(), prows[p].data(), prows[p].size(),
-                              shared_next.data());
-    });
-  }
-
   const bool is_semi = type == sql::JoinType::kSemi;
   const bool is_anti = type == sql::JoinType::kAnti;
   const bool is_left = type == sql::JoinType::kLeft;
+  const bool filter_only = is_semi || is_anti;
 
-  std::vector<uint64_t> lhash = morsel::HashKeys(lk, left.rows, ctx);
+  // Both paths build on the right input (messages / dimension tables are
+  // small) and probe with the left. A probe row with a NULL key cell matches
+  // nothing (a left join null-extends it), as in SQL.
+  // probe_range(begin, end, lidx, ridx, chain_follows) appends the matches
+  // of probe rows [begin, end) in ascending row order, each row's build
+  // matches in ascending build-row order.
+  std::function<void(size_t, size_t, std::vector<uint32_t>*,
+                     std::vector<uint32_t>*, size_t*)>
+      probe_range;
+  size_t table_bytes = 0;
 
-  auto probe_range = [&](size_t begin, size_t end,
-                         std::vector<uint32_t>* lidx,
-                         std::vector<uint32_t>* ridx, size_t* chain_follows) {
-    for (size_t l = begin; l < end; ++l) {
-      uint64_t h = lhash[l];
-      const hash::JoinHashTable& table = parts[P == 1 ? 0 : h % P];
-      bool matched = false;
-      for (uint32_t r = table.Probe(h); r != hash::kInvalidIndex;
-           r = table.Next(r)) {
-        ++*chain_follows;
-        if (RowsEqual(lk, l, rk, r)) {
-          matched = true;
-          if (is_semi || is_anti) break;
+  // Array path: integer keys whose box (over the build rows) holds at most
+  // kBoxSlotsPerRow slots per build and probe row. A key's slot indexes an
+  // array of chain heads (inner/left) or a presence array (semi/anti): no
+  // hashing and no key comparison.
+  morsel::KeyBox box;
+  const bool dense =
+      !ctx.row_mode && morsel::IntKeys(lk) &&
+      morsel::FitKeyBox(rk, right.rows, /*null_slot=*/false,
+                        morsel::kBoxSlotsPerRow * (left.rows + right.rows),
+                        &box);
+  std::vector<uint32_t> rslots, lslots, heads, next;
+  std::vector<uint8_t> present;
+  std::vector<uint64_t> rhash, lhash;
+  std::vector<hash::JoinHashTable> parts;
+  if (dense) {
+    table_bytes = filter_only
+                      ? box.size
+                      : (box.size + right.rows) * sizeof(uint32_t);
+    ChargeTracked(ctx, table_bytes);
+    rslots = morsel::BoxSlots(box, rk, right.rows, ctx);
+    if (filter_only) {
+      present.assign(box.size, 0);
+      for (uint32_t s : rslots) {
+        if (s != morsel::kNoSlot) present[s] = 1;
+      }
+    } else {
+      // Linking rows in descending order leaves every chain ascending, the
+      // hash path's chain order.
+      heads.assign(box.size, hash::kInvalidIndex);
+      next.assign(right.rows, hash::kInvalidIndex);
+      for (size_t r = right.rows; r-- > 0;) {
+        const uint32_t s = rslots[r];
+        if (s == morsel::kNoSlot) continue;
+        next[r] = heads[s];
+        heads[s] = static_cast<uint32_t>(r);
+      }
+    }
+    lslots = morsel::BoxSlots(box, lk, left.rows, ctx);
+    probe_range = [&](size_t begin, size_t end, std::vector<uint32_t>* lidx,
+                      std::vector<uint32_t>* ridx, size_t* chain_follows) {
+      for (size_t l = begin; l < end; ++l) {
+        const uint32_t s = lslots[l];
+        if (filter_only) {
+          const bool matched = s != morsel::kNoSlot && present[s] != 0;
+          *chain_follows += matched ? 1 : 0;
+          if (matched == is_semi) lidx->push_back(static_cast<uint32_t>(l));
+          continue;
+        }
+        uint32_t r = s == morsel::kNoSlot ? hash::kInvalidIndex : heads[s];
+        if (r == hash::kInvalidIndex && is_left) {
+          lidx->push_back(static_cast<uint32_t>(l));
+          ridx->push_back(UINT32_MAX);
+        }
+        for (; r != hash::kInvalidIndex; r = next[r]) {
+          ++*chain_follows;
           lidx->push_back(static_cast<uint32_t>(l));
           ridx->push_back(r);
         }
       }
-      if ((is_semi && matched) || (is_anti && !matched)) {
-        lidx->push_back(static_cast<uint32_t>(l));
-      } else if (is_left && !matched) {
-        lidx->push_back(static_cast<uint32_t>(l));
-        ridx->push_back(UINT32_MAX);
-      }
+    };
+  } else {
+    // Hash both key sides column-at-a-time (type dispatched once per column
+    // per morsel, not once per cell); row-mode profiles keep per-tuple Value
+    // hashing inside HashKeys.
+    rhash = morsel::HashKeys(rk, right.rows, ctx);
+
+    // Build into a bucket-chained flat table: duplicate rows per key hash
+    // are linked through one next[] array, so the build is two flat arrays
+    // and zero per-key allocations. Large build sides are hash-partitioned
+    // and built by per-thread partitions in parallel: partition p owns every
+    // hash with h % P == p, and each builder scans its rows in ascending
+    // order, so row chains are identical to the single-table serial build
+    // (probe match order — and thus output order — is bit-identical for any
+    // P).
+    const size_t P =
+        ctx.CanParallel(right.rows) ? static_cast<size_t>(ctx.threads) : 1;
+    // The build's directory + chain arrays are a tracked allocation, charged
+    // with the canonical (partition-independent) footprint before building.
+    table_bytes = CanonicalHashBytes(right.rows, right.rows);
+    ChargeTracked(ctx, table_bytes);
+    parts.resize(P);
+    if (P == 1) {
+      parts[0].Build(rhash.data(), right.rows);
+    } else {
+      std::vector<std::vector<uint32_t>> prows =
+          morsel::PartitionRowsByHash(ctx, rhash, P);
+      // Partitions own disjoint row sets, so they can chain through one
+      // shared next[] array with disjoint writes.
+      next.resize(right.rows);
+      ctx.pool->ParallelFor(P, [&](size_t p) {
+        parts[p].BuildPartition(rhash.data(), prows[p].data(),
+                                prows[p].size(), next.data());
+      });
     }
-  };
+    lhash = morsel::HashKeys(lk, left.rows, ctx);
+    probe_range = [&, P](size_t begin, size_t end, std::vector<uint32_t>* lidx,
+                         std::vector<uint32_t>* ridx, size_t* chain_follows) {
+      for (size_t l = begin; l < end; ++l) {
+        bool matched = false;
+        if (!AnyNullKey(lk, l)) {
+          const uint64_t h = lhash[l];
+          const hash::JoinHashTable& table = parts[P == 1 ? 0 : h % P];
+          for (uint32_t r = table.Probe(h); r != hash::kInvalidIndex;
+               r = table.Next(r)) {
+            ++*chain_follows;
+            if (RowsEqual(lk, l, rk, r)) {
+              matched = true;
+              if (filter_only) break;
+              lidx->push_back(static_cast<uint32_t>(l));
+              ridx->push_back(r);
+            }
+          }
+        }
+        if ((is_semi && matched) || (is_anti && !matched)) {
+          lidx->push_back(static_cast<uint32_t>(l));
+        } else if (is_left && !matched) {
+          lidx->push_back(static_cast<uint32_t>(l));
+          ridx->push_back(UINT32_MAX);
+        }
+      }
+    };
+  }
 
   // Morsel-driven probe: per-morsel match lists concatenate in morsel-index
   // order, which is ascending probe-row order — exactly the serial output.
@@ -381,16 +466,18 @@ ExecTable HashJoinExec(const ExecTable& left, const ExecTable& right,
     probe_range(0, left.rows, &lidx, &ridx, &chain_follows);
   }
   if (ctx.stats != nullptr) {
-    // Probes = one lookup per build insert + one per probe row. Chain
-    // follows count build rows visited while probing; a key's chain is
-    // identical for any partition count, so the counter is deterministic
-    // across thread counts. Bytes use the canonical single-table footprint.
+    // Probes = one lookup per build row + one per probe row. Chain follows
+    // count build rows visited while probing (on the array path: matched
+    // build rows, one per matched probe row of a semi/anti join); a key's
+    // chain is identical for any partition count, so the counter is
+    // deterministic across thread counts. Bytes are the array's, or the
+    // hash table's canonical single-table footprint.
     ctx.stats->hash_probes += right.rows + left.rows;
     ctx.stats->hash_chain_follows += chain_follows;
-    ctx.stats->hash_bytes += CanonicalHashBytes(right.rows, right.rows);
+    ctx.stats->hash_bytes += table_bytes;
   }
 
-  if (is_semi || is_anti) {
+  if (filter_only) {
     ExecTable filtered = morsel::ParallelGatherRows(left, lidx, ctx);
     GuardSeal(ctx);
     return filtered;
@@ -411,15 +498,54 @@ ExecTable HashJoinExec(const ExecTable& left, const ExecTable& right,
   return out;
 }
 
-GroupResult GroupRows(const ExecTable& input, const std::vector<int>& key_cols,
-                      const OpContext& ctx) {
+namespace {
+
+/// Array-path grouping: group ids in first-occurrence order through an
+/// array indexed by each row's slot in the key box (NULL has a slot of its
+/// own, so it is one group). False, with `res` untouched, when the keys are
+/// not integers, their box holds more than kBoxSlotsPerRow slots per row, or
+/// the profile hashes tuple at a time.
+bool GroupByBox(const std::vector<const VectorData*>& keys, size_t rows,
+                const OpContext& ctx, GroupResult* res) {
+  morsel::KeyBox box;
+  if (ctx.row_mode ||
+      !morsel::FitKeyBox(keys, rows, /*null_slot=*/true,
+                         morsel::kBoxSlotsPerRow * rows, &box)) {
+    return false;
+  }
+  const size_t bytes = box.size * sizeof(uint32_t);
+  ChargeTracked(ctx, bytes);
+  std::vector<uint32_t> slots = morsel::BoxSlots(box, keys, rows, ctx);
+  std::vector<uint32_t> gid_of(box.size, hash::kInvalidIndex);
+  res->group_ids.resize(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    uint32_t& g = gid_of[slots[r]];
+    if (g == hash::kInvalidIndex) {
+      g = static_cast<uint32_t>(res->representatives.size());
+      res->representatives.push_back(static_cast<uint32_t>(r));
+    }
+    res->group_ids[r] = g;
+  }
+  res->num_groups = res->representatives.size();
+  if (ctx.stats != nullptr) {
+    // One lookup per row; a "chain follow" per row that finds its group
+    // already there, as a hash probe walks one link to it.
+    ctx.stats->hash_probes += rows;
+    ctx.stats->hash_chain_follows += rows - res->num_groups;
+    ctx.stats->hash_bytes += bytes;
+  }
+  return true;
+}
+
+/// Hash-path grouping, serial: find-or-add per row with RowsEqual against
+/// each candidate group's representative.
+GroupResult GroupHashed(const std::vector<const VectorData*>& keys,
+                        size_t rows, const OpContext& ctx) {
   GroupResult res;
-  res.group_ids.resize(input.rows);
-  std::vector<const VectorData*> keys;
-  for (int k : key_cols) keys.push_back(&input.cols[static_cast<size_t>(k)].data);
-  std::vector<uint64_t> hashes = morsel::HashKeys(keys, input.rows, ctx);
-  hash::GroupHashTable table(input.rows);
-  for (size_t r = 0; r < input.rows; ++r) {
+  res.group_ids.resize(rows);
+  std::vector<uint64_t> hashes = morsel::HashKeys(keys, rows, ctx);
+  hash::GroupHashTable table(rows);
+  for (size_t r = 0; r < rows; ++r) {
     uint32_t gid = table.FindOrAdd(hashes[r], [&](uint32_t g) {
       return RowsEqual(keys, r, keys, res.representatives[g]);
     });
@@ -431,7 +557,7 @@ GroupResult GroupRows(const ExecTable& input, const std::vector<int>& key_cols,
   res.num_groups = res.representatives.size();
   ChargeTracked(ctx, CanonicalHashBytes(res.num_groups, res.num_groups));
   if (ctx.stats != nullptr) {
-    ctx.stats->hash_probes += input.rows;
+    ctx.stats->hash_probes += rows;
     ctx.stats->hash_chain_follows += table.chain_follows();
     // Group tables are sized by groups, not rows (the directory grows as
     // groups appear), so the canonical footprint uses the group count.
@@ -441,16 +567,96 @@ GroupResult GroupRows(const ExecTable& input, const std::vector<int>& key_cols,
   return res;
 }
 
+}  // namespace
+
+GroupResult GroupRows(const ExecTable& input, const std::vector<int>& key_cols,
+                      const OpContext& ctx) {
+  std::vector<const VectorData*> keys;
+  for (int k : key_cols) {
+    keys.push_back(&input.cols[static_cast<size_t>(k)].data);
+  }
+  GroupResult res;
+  if (GroupByBox(keys, input.rows, ctx, &res)) return res;
+  return GroupHashed(keys, input.rows, ctx);
+}
+
 namespace {
 
-struct AggAccum {
-  std::vector<double> dsum;
-  std::vector<int64_t> isum;
-  std::vector<int64_t> count;
-  std::vector<double> dmin;
-  std::vector<double> dmax;
-  bool int_sum = false;
+/// How one aggregate accumulates, picked once per aggregate (not per row).
+enum class AccumKind {
+  kCountRows,  ///< COUNT(*)
+  kCount,      ///< COUNT(x): non-NULL values
+  kIntSum,     ///< SUM over an int argument
+  kFloatSum,   ///< SUM over a float argument; AVG over any argument
+  kIntMinMax,  ///< MIN / MAX over an int argument
+  kMinMax,     ///< MIN / MAX over a float argument
 };
+
+AccumKind KindOf(const AggSpec& spec, const VectorData& arg) {
+  const std::string& f = spec.func;
+  if (f == "COUNT") {
+    return spec.arg == nullptr ? AccumKind::kCountRows : AccumKind::kCount;
+  }
+  JB_CHECK_MSG(spec.arg != nullptr, f << "(*) is not supported");
+  if (f == "SUM") {
+    return arg.type == TypeId::kFloat64 ? AccumKind::kFloatSum
+                                        : AccumKind::kIntSum;
+  }
+  if (f == "AVG") return AccumKind::kFloatSum;
+  if (f == "MIN" || f == "MAX") {
+    return arg.type == TypeId::kFloat64 ? AccumKind::kMinMax
+                                        : AccumKind::kIntMinMax;
+  }
+  JB_THROW("unknown aggregate " << f);
+}
+
+struct AggAccum {
+  AccumKind kind = AccumKind::kCountRows;
+  std::vector<int64_t> count;  ///< rows (kCountRows) or non-NULL values
+  std::vector<int64_t> isum;   ///< kIntSum
+  std::vector<double> dsum;    ///< kFloatSum
+  std::vector<int64_t> imin;   ///< kIntMinMax
+  std::vector<int64_t> imax;   ///< kIntMinMax
+  std::vector<double> dmin;    ///< kMinMax
+  std::vector<double> dmax;    ///< kMinMax
+};
+
+/// Size `acc`'s per-group vectors for `kind` (only those it uses) and zero
+/// them.
+void InitAccum(AccumKind kind, size_t num_groups, AggAccum* acc) {
+  acc->kind = kind;
+  acc->count.assign(num_groups, 0);
+  if (kind == AccumKind::kIntSum) acc->isum.assign(num_groups, 0);
+  if (kind == AccumKind::kFloatSum) acc->dsum.assign(num_groups, 0.0);
+  if (kind == AccumKind::kIntMinMax) {
+    acc->imin.assign(num_groups, std::numeric_limits<int64_t>::max());
+    acc->imax.assign(num_groups, std::numeric_limits<int64_t>::min());
+  }
+  if (kind == AccumKind::kMinMax) {
+    acc->dmin.assign(num_groups, std::numeric_limits<double>::infinity());
+    acc->dmax.assign(num_groups, -std::numeric_limits<double>::infinity());
+  }
+}
+
+/// fn(i, x) for every non-NULL argument value x at rows[i], as a double,
+/// with the argument's type dispatched once.
+template <class Fn>
+void ForEachValue(const VectorData& v, const std::vector<uint32_t>& rows,
+                  const Fn& fn) {
+  if (v.type == TypeId::kFloat64) {
+    const double* x = v.dbls->data();
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const double d = x[rows[i]];
+      if (!IsNullFloat64(d)) fn(i, d);
+    }
+  } else {
+    const int64_t* x = v.ints->data();
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const int64_t y = x[rows[i]];
+      if (y != kNullInt64) fn(i, static_cast<double>(y));
+    }
+  }
+}
 
 /// Aggregate one partition of rows into per-group accumulators. `gid_at[i]`
 /// is the group of `rows[i]` (position-aligned, so partitions don't need
@@ -465,95 +671,110 @@ void Accumulate(const std::vector<AggSpec>& aggs,
   accums->resize(aggs.size());
   for (size_t a = 0; a < aggs.size(); ++a) {
     AggAccum& acc = (*accums)[a];
-    const std::string& f = aggs[a].func;
-    acc.count.assign(num_groups, 0);
-    if (f == "MIN" || f == "MAX") {
-      acc.dmin.assign(num_groups, std::numeric_limits<double>::infinity());
-      acc.dmax.assign(num_groups, -std::numeric_limits<double>::infinity());
-    }
-    if (f == "SUM" || f == "AVG") {
-      const VectorData& v = arg_vals[a];
-      acc.int_sum = f == "SUM" && v.type != TypeId::kFloat64;
-      if (acc.int_sum) {
-        acc.isum.assign(num_groups, 0);
-      } else {
-        acc.dsum.assign(num_groups, 0.0);
-      }
-    }
-    if (f == "COUNT" && aggs[a].arg == nullptr) {
-      for (size_t i = 0; i < rows.size(); ++i) ++acc.count[gid_at[i]];
-      continue;
-    }
     const VectorData& v = arg_vals[a];
-    for (size_t i = 0; i < rows.size(); ++i) {
-      uint32_t r = rows[i];
-      if (v.IsNull(r)) continue;
-      uint32_t g = gid_at[i];
-      ++acc.count[g];
-      if (f == "SUM" || f == "AVG") {
-        if (acc.int_sum) {
-          acc.isum[g] += (*v.ints)[r];
-        } else {
-          acc.dsum[g] += v.type == TypeId::kFloat64
-                             ? (*v.dbls)[r]
-                             : static_cast<double>((*v.ints)[r]);
+    InitAccum(KindOf(aggs[a], v), num_groups, &acc);
+    int64_t* count = acc.count.data();
+    switch (acc.kind) {
+      case AccumKind::kCountRows:
+        for (size_t i = 0; i < rows.size(); ++i) ++count[gid_at[i]];
+        break;
+      case AccumKind::kCount:
+        ForEachValue(v, rows, [&](size_t i, double) { ++count[gid_at[i]]; });
+        break;
+      case AccumKind::kIntSum: {
+        const int64_t* x = v.ints->data();
+        int64_t* sum = acc.isum.data();
+        for (size_t i = 0; i < rows.size(); ++i) {
+          const int64_t y = x[rows[i]];
+          if (y == kNullInt64) continue;
+          const uint32_t g = gid_at[i];
+          ++count[g];
+          if (__builtin_add_overflow(sum[g], y, &sum[g])) {
+            JB_THROW("SUM(" << sql::ToSql(*aggs[a].arg)
+                            << ") overflows int64");
+          }
         }
-      } else if (f == "MIN" || f == "MAX") {
-        double x = v.type == TypeId::kFloat64
-                       ? (*v.dbls)[r]
-                       : static_cast<double>((*v.ints)[r]);
-        acc.dmin[g] = std::min(acc.dmin[g], x);
-        acc.dmax[g] = std::max(acc.dmax[g], x);
+        break;
+      }
+      case AccumKind::kFloatSum: {
+        double* sum = acc.dsum.data();
+        ForEachValue(v, rows, [&](size_t i, double x) {
+          const uint32_t g = gid_at[i];
+          ++count[g];
+          sum[g] += x;
+        });
+        break;
+      }
+      case AccumKind::kIntMinMax: {
+        const int64_t* x = v.ints->data();
+        int64_t* lo = acc.imin.data();
+        int64_t* hi = acc.imax.data();
+        for (size_t i = 0; i < rows.size(); ++i) {
+          const int64_t y = x[rows[i]];
+          if (y == kNullInt64) continue;
+          const uint32_t g = gid_at[i];
+          ++count[g];
+          lo[g] = std::min(lo[g], y);
+          hi[g] = std::max(hi[g], y);
+        }
+        break;
+      }
+      case AccumKind::kMinMax: {
+        double* lo = acc.dmin.data();
+        double* hi = acc.dmax.data();
+        ForEachValue(v, rows, [&](size_t i, double x) {
+          const uint32_t g = gid_at[i];
+          ++count[g];
+          lo[g] = std::min(lo[g], x);
+          hi[g] = std::max(hi[g], x);
+        });
+        break;
       }
     }
   }
 }
 
 VectorData FinishAgg(const AggSpec& spec, const AggAccum& acc,
-                     const VectorData* arg, size_t num_groups) {
+                     size_t num_groups) {
   const std::string& f = spec.func;
-  if (f == "COUNT") {
-    std::vector<int64_t> out(acc.count.begin(), acc.count.end());
-    return VectorData::FromInts(std::move(out));
-  }
-  if (f == "SUM") {
-    if (acc.int_sum) {
+  switch (acc.kind) {
+    case AccumKind::kCountRows:
+    case AccumKind::kCount:
+      return VectorData::FromInts(acc.count);
+    case AccumKind::kIntSum: {
       std::vector<int64_t> out(num_groups);
       for (size_t g = 0; g < num_groups; ++g) {
         out[g] = acc.count[g] == 0 ? kNullInt64 : acc.isum[g];
       }
       return VectorData::FromInts(std::move(out));
     }
-    std::vector<double> out(num_groups);
-    for (size_t g = 0; g < num_groups; ++g) {
-      out[g] = acc.count[g] == 0 ? NullFloat64() : acc.dsum[g];
+    case AccumKind::kFloatSum: {
+      const bool avg = f == "AVG";
+      std::vector<double> out(num_groups);
+      for (size_t g = 0; g < num_groups; ++g) {
+        out[g] = acc.count[g] == 0
+                     ? NullFloat64()
+                     : (avg ? acc.dsum[g] / static_cast<double>(acc.count[g])
+                            : acc.dsum[g]);
+      }
+      return VectorData::FromDoubles(std::move(out));
     }
-    return VectorData::FromDoubles(std::move(out));
-  }
-  if (f == "AVG") {
-    std::vector<double> out(num_groups);
-    for (size_t g = 0; g < num_groups; ++g) {
-      out[g] = acc.count[g] == 0
-                   ? NullFloat64()
-                   : acc.dsum[g] / static_cast<double>(acc.count[g]);
-    }
-    return VectorData::FromDoubles(std::move(out));
-  }
-  if (f == "MIN" || f == "MAX") {
-    const auto& src = f == "MIN" ? acc.dmin : acc.dmax;
-    if (arg && arg->type != TypeId::kFloat64) {
+    case AccumKind::kIntMinMax: {
+      const auto& src = f == "MIN" ? acc.imin : acc.imax;
       std::vector<int64_t> out(num_groups);
       for (size_t g = 0; g < num_groups; ++g) {
-        out[g] = acc.count[g] == 0 ? kNullInt64
-                                   : static_cast<int64_t>(src[g]);
+        out[g] = acc.count[g] == 0 ? kNullInt64 : src[g];
       }
       return VectorData::FromInts(std::move(out));
     }
-    std::vector<double> out(num_groups);
-    for (size_t g = 0; g < num_groups; ++g) {
-      out[g] = acc.count[g] == 0 ? NullFloat64() : src[g];
+    case AccumKind::kMinMax: {
+      const auto& src = f == "MIN" ? acc.dmin : acc.dmax;
+      std::vector<double> out(num_groups);
+      for (size_t g = 0; g < num_groups; ++g) {
+        out[g] = acc.count[g] == 0 ? NullFloat64() : src[g];
+      }
+      return VectorData::FromDoubles(std::move(out));
     }
-    return VectorData::FromDoubles(std::move(out));
   }
   JB_THROW("unknown aggregate " << f);
 }
@@ -568,9 +789,10 @@ struct GroupedAggs {
 
 /// Group `rows` input rows by the pre-evaluated `key_vals` and accumulate
 /// every AggSpec — the core of HashAggExec, shared with MultiAggExec so each
-/// grouping set aggregates exactly as a standalone GROUP BY would. The
-/// parallel path hash-partitions by key and is bit-identical to serial for
-/// any thread count (see the comments inline).
+/// grouping set aggregates exactly as a standalone GROUP BY would. Integer
+/// keys with a small box take the array path; the parallel hash path
+/// partitions by key hash. Both are bit-identical to the serial hash path
+/// for any thread count (see the comments inline).
 GroupedAggs GroupAndAccumulate(const std::vector<VectorData>& key_vals,
                                const std::vector<AggSpec>& aggs,
                                const std::vector<VectorData>& arg_vals,
@@ -587,127 +809,106 @@ GroupedAggs GroupAndAccumulate(const std::vector<VectorData>& key_vals,
     return out;
   }
 
-  if (ctx.CanParallel(rows)) {
-      // Hash-partition by key, then group + aggregate each partition with a
-      // thread-local hash table (intra-query parallelism, §5.5.3). Every
-      // group lives entirely in one partition and each partition scans its
-      // rows in ascending order, so per-group float accumulation order
-      // matches the serial path exactly. The merge step re-sorts groups by
-      // representative (= first-occurrence) row, which is precisely the
-      // serial GroupRows output order: results are bit-identical to one
-      // thread for any partition count.
-      size_t P = static_cast<size_t>(ctx.threads);
-      std::vector<const VectorData*> keys;
-      for (const auto& kv : key_vals) keys.push_back(&kv);
-      std::vector<uint64_t> hashes = morsel::HashKeys(keys, rows, ctx);
-      std::vector<std::vector<uint32_t>> prows =
-          morsel::PartitionRowsByHash(ctx, hashes, P);
-      struct PartResult {
-        std::vector<uint32_t> reps;
-        std::vector<AggAccum> accums;
-        size_t chain_follows = 0;
-      };
-      std::vector<PartResult> results(P);
-      ctx.pool->ParallelFor(P, [&](size_t p) {
-        // Partition p owns hashes with h % P == p, rows in ascending order.
-        const std::vector<uint32_t>& part_rows = prows[p];
-        hash::GroupHashTable table(part_rows.size());
-        std::vector<uint32_t> reps;
-        std::vector<uint32_t> gids(part_rows.size());
-        for (size_t i = 0; i < part_rows.size(); ++i) {
-          uint32_t r = part_rows[i];
-          uint32_t gid = table.FindOrAdd(hashes[r], [&](uint32_t g) {
-            return RowsEqual(keys, r, keys, reps[g]);
-          });
-          if (gid == reps.size()) reps.push_back(r);
-          gids[i] = gid;
-        }
-        Accumulate(aggs, arg_vals, gids, part_rows, reps.size(),
-                   &results[p].accums);
-        results[p].chain_follows = table.chain_follows();
-        results[p].reps = std::move(reps);
-      });
-      // Merge: order groups by representative row id (== first occurrence,
-      // the serial group order), then copy partition-local accumulator
-      // slots — a pure relabeling, no arithmetic.
-      struct GroupRef {
-        uint32_t rep;
-        uint32_t part;
-        uint32_t local;
-      };
-      std::vector<GroupRef> order;
-      for (uint32_t p = 0; p < P; ++p) {
-        for (uint32_t g = 0; g < results[p].reps.size(); ++g) {
-          order.push_back({results[p].reps[g], p, g});
-        }
-      }
-      std::sort(order.begin(), order.end(),
-                [](const GroupRef& a, const GroupRef& b) {
-                  return a.rep < b.rep;
-                });
-      const size_t num_groups = order.size();
-      out.num_groups = num_groups;
-      out.accums.resize(aggs.size());
-      for (size_t a = 0; a < aggs.size(); ++a) {
-        AggAccum& dst = out.accums[a];
-        const std::string& f = aggs[a].func;
-        dst.int_sum = f == "SUM" && (aggs[a].arg == nullptr ||
-                                     arg_vals[a].type != TypeId::kFloat64);
-        // Mirror Accumulate's allocations: only the vectors this aggregate
-        // actually uses (FinishAgg reads the same subset).
-        dst.count.assign(num_groups, 0);
-        if (f == "SUM" || f == "AVG") {
-          if (dst.int_sum) {
-            dst.isum.assign(num_groups, 0);
-          } else {
-            dst.dsum.assign(num_groups, 0.0);
-          }
-        }
-        if (f == "MIN" || f == "MAX") {
-          dst.dmin.assign(num_groups, std::numeric_limits<double>::infinity());
-          dst.dmax.assign(num_groups,
-                          -std::numeric_limits<double>::infinity());
-        }
-        for (size_t g = 0; g < num_groups; ++g) {
-          const AggAccum& src = results[order[g].part].accums[a];
-          uint32_t lg = order[g].local;
-          dst.count[g] = src.count[lg];
-          if (!src.dsum.empty()) dst.dsum[g] = src.dsum[lg];
-          if (!src.isum.empty()) dst.isum[g] = src.isum[lg];
-          if (!src.dmin.empty()) dst.dmin[g] = src.dmin[lg];
-          if (!src.dmax.empty()) dst.dmax[g] = src.dmax[lg];
-        }
-      }
-      out.representatives.reserve(num_groups);
-      for (const GroupRef& gr : order) out.representatives.push_back(gr.rep);
-      ChargeTracked(ctx, CanonicalHashBytes(num_groups, num_groups));
-      if (ctx.stats != nullptr) {
-        // Mirror the serial GroupRows accounting exactly: one probe per
-        // input row, chain follows summed over partitions (a hash's groups
-        // all live in one partition, in serial discovery order, so the sum
-        // equals the serial count), canonical single-table bytes.
-        ctx.stats->hash_probes += rows;
-        for (const PartResult& pr : results) {
-          ctx.stats->hash_chain_follows += pr.chain_follows;
-        }
-        ctx.stats->hash_bytes += CanonicalHashBytes(num_groups, num_groups);
-      }
-      return out;
+  std::vector<const VectorData*> keys;
+  for (const auto& kv : key_vals) keys.push_back(&kv);
+  GroupResult groups;
+  const bool boxed = GroupByBox(keys, rows, ctx, &groups);
+  if (boxed || !ctx.CanParallel(rows)) {
+    // Array path, or the serial hash path: group ids for every row, then
+    // one accumulation pass in ascending row order.
+    if (!boxed) groups = GroupHashed(keys, rows, ctx);
+    out.num_groups = groups.num_groups;
+    out.representatives = std::move(groups.representatives);
+    Accumulate(aggs, arg_vals, groups.group_ids, all_rows, out.num_groups,
+               &out.accums);
+    return out;
   }
 
-  // Serial path: GroupRows over a thin ExecTable view of the key vectors.
-  ExecTable key_table;
-  key_table.rows = rows;
-  std::vector<int> key_cols;
-  for (size_t i = 0; i < key_vals.size(); ++i) {
-    key_table.cols.push_back({"", "__k" + std::to_string(i), key_vals[i]});
-    key_cols.push_back(static_cast<int>(i));
+  // Hash-partition by key, then group + aggregate each partition with a
+  // thread-local hash table (intra-query parallelism, §5.5.3). Every group
+  // lives entirely in one partition and each partition scans its rows in
+  // ascending order, so per-group float accumulation order matches the
+  // serial path exactly. The merge step re-sorts groups by representative
+  // (= first-occurrence) row, which is precisely the serial GroupRows
+  // output order: results are bit-identical to one thread for any
+  // partition count.
+  size_t P = static_cast<size_t>(ctx.threads);
+  std::vector<uint64_t> hashes = morsel::HashKeys(keys, rows, ctx);
+  std::vector<std::vector<uint32_t>> prows =
+      morsel::PartitionRowsByHash(ctx, hashes, P);
+  struct PartResult {
+    std::vector<uint32_t> reps;
+    std::vector<AggAccum> accums;
+    size_t chain_follows = 0;
+  };
+  std::vector<PartResult> results(P);
+  ctx.pool->ParallelFor(P, [&](size_t p) {
+    // Partition p owns hashes with h % P == p, rows in ascending order.
+    const std::vector<uint32_t>& part_rows = prows[p];
+    hash::GroupHashTable table(part_rows.size());
+    std::vector<uint32_t> reps;
+    std::vector<uint32_t> gids(part_rows.size());
+    for (size_t i = 0; i < part_rows.size(); ++i) {
+      uint32_t r = part_rows[i];
+      uint32_t gid = table.FindOrAdd(hashes[r], [&](uint32_t g) {
+        return RowsEqual(keys, r, keys, reps[g]);
+      });
+      if (gid == reps.size()) reps.push_back(r);
+      gids[i] = gid;
+    }
+    Accumulate(aggs, arg_vals, gids, part_rows, reps.size(),
+               &results[p].accums);
+    results[p].chain_follows = table.chain_follows();
+    results[p].reps = std::move(reps);
+  });
+  // Merge: order groups by representative row id (== first occurrence, the
+  // serial group order), then copy partition-local accumulator slots — a
+  // pure relabeling, no arithmetic.
+  struct GroupRef {
+    uint32_t rep;
+    uint32_t part;
+    uint32_t local;
+  };
+  std::vector<GroupRef> order;
+  for (uint32_t p = 0; p < P; ++p) {
+    for (uint32_t g = 0; g < results[p].reps.size(); ++g) {
+      order.push_back({results[p].reps[g], p, g});
+    }
   }
-  GroupResult groups = GroupRows(key_table, key_cols, ctx);
-  out.num_groups = groups.num_groups;
-  out.representatives = std::move(groups.representatives);
-  Accumulate(aggs, arg_vals, groups.group_ids, all_rows, out.num_groups,
-             &out.accums);
+  std::sort(order.begin(), order.end(),
+            [](const GroupRef& a, const GroupRef& b) { return a.rep < b.rep; });
+  const size_t num_groups = order.size();
+  out.num_groups = num_groups;
+  out.accums.resize(aggs.size());
+  for (size_t a = 0; a < aggs.size(); ++a) {
+    AggAccum& dst = out.accums[a];
+    InitAccum(KindOf(aggs[a], arg_vals[a]), num_groups, &dst);
+    for (size_t g = 0; g < num_groups; ++g) {
+      const AggAccum& src = results[order[g].part].accums[a];
+      uint32_t lg = order[g].local;
+      dst.count[g] = src.count[lg];
+      if (!src.dsum.empty()) dst.dsum[g] = src.dsum[lg];
+      if (!src.isum.empty()) dst.isum[g] = src.isum[lg];
+      if (!src.imin.empty()) dst.imin[g] = src.imin[lg];
+      if (!src.imax.empty()) dst.imax[g] = src.imax[lg];
+      if (!src.dmin.empty()) dst.dmin[g] = src.dmin[lg];
+      if (!src.dmax.empty()) dst.dmax[g] = src.dmax[lg];
+    }
+  }
+  out.representatives.reserve(num_groups);
+  for (const GroupRef& gr : order) out.representatives.push_back(gr.rep);
+  ChargeTracked(ctx, CanonicalHashBytes(num_groups, num_groups));
+  if (ctx.stats != nullptr) {
+    // Mirror the serial GroupHashed accounting exactly: one probe per input
+    // row, chain follows summed over partitions (a hash's groups all live
+    // in one partition, in serial discovery order, so the sum equals the
+    // serial count), canonical single-table bytes.
+    ctx.stats->hash_probes += rows;
+    for (const PartResult& pr : results) {
+      ctx.stats->hash_chain_follows += pr.chain_follows;
+    }
+    ctx.stats->hash_bytes += CanonicalHashBytes(num_groups, num_groups);
+  }
   return out;
 }
 
@@ -752,8 +953,7 @@ ExecTable HashAggExec(const ExecTable& input,
   }
   agg_outputs->clear();
   for (size_t a = 0; a < aggs.size(); ++a) {
-    VectorData v = FinishAgg(aggs[a], grouped.accums[a],
-                             aggs[a].arg ? &arg_vals[a] : nullptr, num_groups);
+    VectorData v = FinishAgg(aggs[a], grouped.accums[a], num_groups);
     agg_outputs->push_back(v);
     out.cols.push_back({"", "__agg" + std::to_string(a), std::move(v)});
   }
@@ -813,9 +1013,8 @@ MultiAggResult MultiAggExec(const ExecTable& input,
     grouped[s] = GroupAndAccumulate(key_vals, aggs, arg_vals, input.rows, ctx);
     set_aggs[s].reserve(aggs.size());
     for (size_t a = 0; a < aggs.size(); ++a) {
-      set_aggs[s].push_back(FinishAgg(aggs[a], grouped[s].accums[a],
-                                      aggs[a].arg ? &arg_vals[a] : nullptr,
-                                      grouped[s].num_groups));
+      set_aggs[s].push_back(
+          FinishAgg(aggs[a], grouped[s].accums[a], grouped[s].num_groups));
     }
     total_rows += grouped[s].num_groups;
   }

@@ -80,9 +80,12 @@ bool RowsEqual(const std::vector<const VectorData*>& a, size_t ra,
 /// `build`'s dictionary gets a code no build row carries.
 VectorData AlignDictionary(const VectorData& probe, const VectorData& build);
 
-/// Hash join. `left_keys`/`right_keys` index into the inputs' columns.
-/// Inner and left-outer produce concatenated schemas; semi/anti return the
-/// filtered left input.
+/// Equi-join, building on `right`. `left_keys`/`right_keys` index into the
+/// inputs' columns. Inner and left-outer produce concatenated schemas;
+/// semi/anti return the filtered left input. A left row with a NULL key
+/// cell matches nothing (left-outer null-extends it). Integer keys whose box
+/// is small take the array path, others are hashed; both emit the same rows
+/// in the same order.
 ExecTable HashJoinExec(const ExecTable& left, const ExecTable& right,
                        const std::vector<int>& left_keys,
                        const std::vector<int>& right_keys, sql::JoinType type,
@@ -106,7 +109,8 @@ struct GroupResult {
   size_t num_groups = 0;
 };
 
-/// Group rows by the given key columns.
+/// Group rows by the given key columns (NULL is one group). Group ids are
+/// assigned in first-occurrence order, on the array path or hashed.
 GroupResult GroupRows(const ExecTable& input, const std::vector<int>& key_cols,
                       const OpContext& ctx);
 

@@ -192,6 +192,15 @@ void Factorizer::AdoptRefComplete(
   ref_complete_cache_.insert(answers.begin(), answers.end());
 }
 
+void Factorizer::CheckRefCompleteInto(int to) {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
+  for (auto [n, e] : graph_->Neighbors(to)) {
+    if (SelectionPath(n, to)) {
+      RefComplete(n, to, graph_->edges()[static_cast<size_t>(e)].keys);
+    }
+  }
+}
+
 std::string Factorizer::CacheKey(const char* prefix, int from, int to,
                                  const PredicateSet& preds, bool borrowed) {
   std::ostringstream os;

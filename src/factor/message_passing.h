@@ -192,6 +192,11 @@ class Factorizer {
   /// rows as this factorizer's (a lifted plain copy of a base table).
   void AdoptRefComplete(const std::map<std::pair<int, int>, bool>& answers);
 
+  /// Answer, and remember, referential completeness for every message into
+  /// `to` that completeness could drop (each neighbour on a selection path
+  /// toward it): the checks a factorizer over `to` runs first.
+  void CheckRefCompleteInto(int to);
+
   /// Drop all cached message tables.
   void ClearCache();
 

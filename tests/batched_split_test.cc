@@ -99,32 +99,6 @@ Dataset MakeCatDataset(Database* db) {
   return ds;
 }
 
-void ExpectModelsBitIdentical(const core::Ensemble& a, const core::Ensemble& b,
-                              const std::string& label) {
-  ASSERT_EQ(a.trees.size(), b.trees.size()) << label;
-  EXPECT_EQ(a.base_score, b.base_score) << label;
-  for (size_t t = 0; t < a.trees.size(); ++t) {
-    const auto& ta = a.trees[t].nodes;
-    const auto& tb = b.trees[t].nodes;
-    ASSERT_EQ(ta.size(), tb.size()) << label << " tree " << t;
-    for (size_t n = 0; n < ta.size(); ++n) {
-      SCOPED_TRACE(label + " tree " + std::to_string(t) + " node " +
-                   std::to_string(n));
-      EXPECT_EQ(ta[n].is_leaf, tb[n].is_leaf);
-      EXPECT_EQ(ta[n].feature, tb[n].feature);
-      EXPECT_EQ(ta[n].relation, tb[n].relation);
-      EXPECT_EQ(ta[n].categorical, tb[n].categorical);
-      EXPECT_EQ(ta[n].threshold, tb[n].threshold);  // bit-exact doubles
-      EXPECT_EQ(ta[n].category, tb[n].category);
-      EXPECT_EQ(ta[n].category_str, tb[n].category_str);
-      EXPECT_EQ(ta[n].gain, tb[n].gain);
-      EXPECT_EQ(ta[n].prediction, tb[n].prediction);
-      EXPECT_EQ(ta[n].count, tb[n].count);
-      EXPECT_EQ(ta[n].sum, tb[n].sum);
-    }
-  }
-}
-
 /// Full gbdt trains with the planner on or off and for 1 or N threads: each
 /// model passes the split oracle and is bit-identical to the first one.
 TEST(BatchedSplitTest, ConfigsAgreeAndPassSplitOracle) {
@@ -149,7 +123,7 @@ TEST(BatchedSplitTest, ConfigsAgreeAndPassSplitOracle) {
     if (&c == &configs[0]) {
       first = std::move(res.model);
     } else {
-      ExpectModelsBitIdentical(first, res.model, label);
+      test_util::ExpectModelsBitIdentical(first, res.model, label);
     }
   }
 }
@@ -213,7 +187,7 @@ TEST(BatchedSplitTest, SharedHistogramScanPassesSplitOracle) {
     if (&c == &configs[0]) {
       first = std::move(model);
     } else {
-      ExpectModelsBitIdentical(first, model, label);
+      test_util::ExpectModelsBitIdentical(first, model, label);
     }
   }
 }

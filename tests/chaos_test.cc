@@ -174,27 +174,6 @@ TEST(ChaosTest, SeededFaultSweepLeavesEngineBitIdentical) {
   EXPECT_GT(faulted_writes + faulted_queries, 0u);
 }
 
-void ExpectModelsBitIdentical(const core::Ensemble& a,
-                              const core::Ensemble& b,
-                              const std::string& label) {
-  ASSERT_EQ(a.trees.size(), b.trees.size()) << label;
-  EXPECT_EQ(a.base_score, b.base_score) << label;
-  for (size_t t = 0; t < a.trees.size(); ++t) {
-    const auto& ta = a.trees[t].nodes;
-    const auto& tb = b.trees[t].nodes;
-    ASSERT_EQ(ta.size(), tb.size()) << label << " tree " << t;
-    for (size_t n = 0; n < ta.size(); ++n) {
-      SCOPED_TRACE(label + " tree " + std::to_string(t) + " node " +
-                   std::to_string(n));
-      EXPECT_EQ(ta[n].is_leaf, tb[n].is_leaf);
-      EXPECT_EQ(ta[n].feature, tb[n].feature);
-      EXPECT_EQ(ta[n].relation, tb[n].relation);
-      EXPECT_EQ(ta[n].threshold, tb[n].threshold);  // bit-exact doubles
-      EXPECT_EQ(ta[n].prediction, tb[n].prediction);
-    }
-  }
-}
-
 core::TrainParams GbdtParams() {
   core::TrainParams params;
   params.boosting = "gbdt";
@@ -247,8 +226,8 @@ TEST(ChaosTest, GbdtTrainSurvivesFaultsAndReproducesBaseline) {
     Dataset ds = test_util::MakeSnowflakeDataset(&db);
     core::TrainParams params = GbdtParams();
     core::Ensemble retrained = Train(params, ds).model;
-    ExpectModelsBitIdentical(retrained, baseline,
-                             "seed " + std::to_string(seed));
+    test_util::ExpectModelsBitIdentical(retrained, baseline,
+                                        "seed " + std::to_string(seed));
   }
   EXPECT_GT(total_trips, 0u) << "no injection point fired during training";
   EXPECT_GT(faulted_trains, 0u);

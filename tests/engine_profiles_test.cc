@@ -70,6 +70,64 @@ TEST_P(ProfileEquivalenceTest, TrainingIdenticalModelsAcrossProfiles) {
   }
 }
 
+// A NULL join key matches nothing, not even another NULL, as in SQL; a left
+// join null-extends its row. GROUP BY keeps one NULL group. Int keys take
+// the array path on columnar profiles and the hash path under X-row; double
+// keys take the hash path everywhere.
+TEST_P(ProfileEquivalenceTest, NullJoinKeysMatchNothing) {
+  for (bool planner : {true, false}) {
+    SCOPED_TRACE(planner ? "planner on" : "planner off");
+    EngineProfile profile = GetParam();
+    profile.use_planner = planner;
+    exec::Database db(profile);
+    const double nan = NullFloat64();
+    db.LoadTable(TableBuilder("a")
+                     .AddInts("k", {1, kNullInt64, 2})
+                     .AddDoubles("x", {1.0, nan, 2.0})
+                     .Build());
+    db.LoadTable(TableBuilder("b")
+                     .AddInts("k", {kNullInt64, 1})
+                     .AddDoubles("x", {nan, 1.0})
+                     .AddInts("tag", {10, 20})
+                     .Build());
+    auto count = [&](const std::string& sql) {
+      return db.QueryScalarDouble(sql);
+    };
+    for (const char* key : {"k", "x"}) {
+      SCOPED_TRACE(key);
+      const std::string on =
+          std::string(" ON a.") + key + " = b." + key;
+      EXPECT_EQ(count("SELECT COUNT(*) AS c FROM a JOIN b" + on), 1);
+      EXPECT_EQ(count("SELECT COUNT(*) AS c FROM a SEMI JOIN b" + on), 1);
+      EXPECT_EQ(count("SELECT COUNT(*) AS c FROM a ANTI JOIN b" + on), 2);
+      EXPECT_EQ(count("SELECT COUNT(*) AS c FROM a LEFT JOIN b" + on), 3);
+      EXPECT_EQ(count("SELECT COUNT(b.tag) AS c FROM a LEFT JOIN b" + on), 1);
+      EXPECT_EQ(count(std::string("SELECT COUNT(*) AS c FROM a WHERE a.") +
+                      key + " IN (SELECT b." + key + " FROM b)"),
+                1);
+    }
+    db.LoadTable(TableBuilder("g")
+                     .AddInts("k", {1, kNullInt64, 2, kNullInt64, 1})
+                     .AddDoubles("x", {1.0, nan, 2.0, nan, 1.0})
+                     .Build());
+    for (const char* key : {"k", "x"}) {
+      SCOPED_TRACE(key);
+      auto groups = db.Query(std::string("SELECT g.") + key +
+                             " AS key, COUNT(*) AS c FROM g GROUP BY g." +
+                             key);
+      ASSERT_EQ(groups->rows, 3u);  // 1, NULL, 2 in first-occurrence order
+      EXPECT_TRUE(groups->GetValue(1, 0).null);
+      EXPECT_EQ(groups->GetValue(1, 1).i, 2);
+      EXPECT_EQ(groups->GetValue(0, 1).i, 2);
+      EXPECT_EQ(groups->GetValue(2, 1).i, 1);
+      EXPECT_EQ(count(std::string("SELECT COUNT(*) AS c FROM (SELECT "
+                                  "DISTINCT g.") +
+                      key + " FROM g)"),
+                3);
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Profiles, ProfileEquivalenceTest,
     ::testing::Values(EngineProfile::XCol(), EngineProfile::XRow(),

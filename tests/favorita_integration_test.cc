@@ -112,6 +112,34 @@ TEST(FavoritaIntegrationTest, RandomForestLearnsAndParallelMatches) {
   (void)ds2;
 }
 
+// rf checks referential completeness into the fact once, over the whole
+// fact, before any tree starts; each tree's factorizer adopts the complete
+// answers, since a sample of a complete fact is complete. A 12k-row rf 4x8
+// used to run one anti-join per dimension per tree (20).
+TEST(FavoritaIntegrationTest, RandomForestChecksCompletenessOnce) {
+  core::Ensemble models[2];
+  for (int parallel = 0; parallel < 2; ++parallel) {
+    SCOPED_TRACE(parallel ? "inter-query parallel" : "serial");
+    exec::Database db(EngineProfile::DSwap());
+    data::FavoritaConfig config;
+    config.sales_rows = 12000;
+    Dataset ds = data::MakeFavorita(&db, config);
+    db.ClearQueryLog();
+    core::TrainParams params;
+    params.boosting = "rf";
+    params.num_iterations = 4;
+    params.num_leaves = 8;
+    params.inter_query_parallelism = parallel == 1;
+    models[parallel] = Train(params, ds).model;
+    size_t anti_joins = 0;
+    for (const auto& e : db.QueryLog()) {
+      anti_joins += e.sql.find(" ANTI JOIN ") != std::string::npos ? 1 : 0;
+    }
+    EXPECT_EQ(anti_joins, 5u);
+  }
+  test_util::ExpectModelsBitIdentical(models[0], models[1], "rf");
+}
+
 TEST(FavoritaIntegrationTest, CompositeKeyTransactionsSelectorWorks) {
   // Splitting on f_trans exercises the composite (store_id, date_id)
   // selector path in residual updates.

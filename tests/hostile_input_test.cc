@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "exec/morsel.h"
 #include "joinboost.h"
 #include "split_oracle.h"
 #include "test_util.h"
@@ -226,6 +230,145 @@ TEST(HostileInputTest, NullFeatureRowsKeepTheirResidual) {
             << ", model residual sum " << want;
       }
       EXPECT_TRUE(split_oracle::CheckModel(res.model, ds, params));
+    }
+  }
+}
+
+/// INT64 extremes as join, GROUP BY and IN keys and as MIN/MAX/SUM arguments
+/// (INT64_MIN is the NULL sentinel, so INT64_MIN + 1 is the smallest key).
+/// Next to small keys they span a box far wider than any array, so the keys
+/// are hashed; a narrow run at the top of the range fits a box, so the keys
+/// index arrays. Either way every answer is the one a nested loop over the
+/// key values gives, on a columnar and a row-at-a-time profile, planner on
+/// and off.
+TEST(HostileInputTest, Int64ExtremeKeysJoinGroupAndProbeExactly) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = kNullInt64 + 1;
+  struct Case {
+    const char* name;
+    std::vector<int64_t> dim;   // distinct build keys
+    std::vector<int64_t> fact;  // probe keys, some absent from `dim`
+    bool boxed;                 // the array path fits the build keys
+  };
+  const Case cases[] = {
+      {"wide", {kMax, kMin, 0, 1, 2}, {2, kMax, 7, kMin, kMax - 1, kMax, 0},
+       false},
+      {"narrow", {kMax - 10, kMax - 4, kMax - 1, kMax},
+       {kMax, 3, kMax - 4, kMin, kMax - 11, kMax, kMax - 10, kMax - 2},
+       true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    // The path each operator takes follows the keys' box.
+    exec::VectorData dk = exec::VectorData::FromInts(c.dim);
+    const uint64_t limit =
+        exec::morsel::kBoxSlotsPerRow * (c.dim.size() + c.fact.size());
+    exec::morsel::KeyBox box;
+    EXPECT_EQ(exec::morsel::FitKeyBox({&dk}, c.dim.size(), /*null_slot=*/false,
+                                      limit, &box),
+              c.boxed);
+    size_t matches = 0;
+    for (int64_t f : c.fact) {
+      for (int64_t d : c.dim) matches += f == d ? 1 : 0;
+    }
+    // (key, rows) in first-occurrence order, over all fact keys and over
+    // the matched ones (whose box is the build keys' box).
+    using Groups = std::vector<std::pair<int64_t, int64_t>>;
+    auto group = [](Groups* groups, int64_t k) {
+      auto it = std::find_if(groups->begin(), groups->end(),
+                             [&](const auto& g) { return g.first == k; });
+      if (it == groups->end()) {
+        groups->emplace_back(k, 1);
+      } else {
+        ++it->second;
+      }
+    };
+    Groups groups, matched_groups;
+    for (int64_t f : c.fact) {
+      group(&groups, f);
+      if (std::find(c.dim.begin(), c.dim.end(), f) != c.dim.end()) {
+        group(&matched_groups, f);
+      }
+    }
+    std::vector<int64_t> weight(c.dim.size());
+    for (size_t i = 0; i < weight.size(); ++i) {
+      weight[i] = static_cast<int64_t>(i) + 1;
+    }
+    for (const EngineProfile& base :
+         {EngineProfile::DSwap(), EngineProfile::XRow()}) {
+      for (bool planner : {true, false}) {
+        SCOPED_TRACE(base.name + (planner ? " planner on" : " planner off"));
+        EngineProfile profile = base;
+        profile.use_planner = planner;
+        exec::Database db(profile);
+        db.LoadTable(TableBuilder("d")
+                         .AddInts("k", c.dim)
+                         .AddInts("w", weight)
+                         .Build());
+        db.LoadTable(TableBuilder("f").AddInts("k", c.fact).Build());
+        auto scalar = [&](const std::string& sql) {
+          return db.QueryScalarDouble(sql);
+        };
+        const double n = static_cast<double>(c.fact.size());
+        const double m = static_cast<double>(matches);
+        EXPECT_EQ(scalar("SELECT COUNT(*) AS c FROM f JOIN d ON f.k = d.k"), m);
+        EXPECT_EQ(
+            scalar("SELECT COUNT(*) AS c FROM f SEMI JOIN d ON f.k = d.k"), m);
+        EXPECT_EQ(
+            scalar("SELECT COUNT(*) AS c FROM f ANTI JOIN d ON f.k = d.k"),
+            n - m);
+        EXPECT_EQ(
+            scalar("SELECT COUNT(d.w) AS c FROM f LEFT JOIN d ON f.k = d.k"),
+            m);
+        EXPECT_EQ(scalar("SELECT COUNT(*) AS c FROM f WHERE f.k IN "
+                         "(SELECT d.k FROM d)"),
+                  m);
+        // Each joined row carries its own build key back.
+        auto joined = db.Query(
+            "SELECT f.k AS fk, d.k AS dk, d.w AS w FROM f JOIN d "
+            "ON f.k = d.k");
+        ASSERT_EQ(joined->rows, matches);
+        for (size_t r = 0; r < joined->rows; ++r) {
+          const int64_t fk = joined->GetValue(r, 0).i;
+          EXPECT_EQ(fk, joined->GetValue(r, 1).i);
+          const size_t at = static_cast<size_t>(
+              std::find(c.dim.begin(), c.dim.end(), fk) - c.dim.begin());
+          ASSERT_LT(at, c.dim.size());
+          EXPECT_EQ(joined->GetValue(r, 2).i, weight[at]);
+        }
+        auto check_groups = [](const exec::ExecTable& t, const Groups& want) {
+          ASSERT_EQ(t.rows, want.size());
+          for (size_t g = 0; g < want.size(); ++g) {
+            EXPECT_EQ(t.GetValue(g, 0).i, want[g].first) << "group " << g;
+            EXPECT_EQ(t.GetValue(g, 1).i, want[g].second) << "group " << g;
+          }
+        };
+        check_groups(
+            *db.Query("SELECT f.k AS k, COUNT(*) AS c FROM f GROUP BY f.k"),
+            groups);
+        // MIN and MAX of the keys stay exact int64s (no trip through double).
+        auto range = db.Query("SELECT MIN(f.k) AS lo, MAX(f.k) AS hi FROM f");
+        EXPECT_EQ(range->GetValue(0, 0).i,
+                  *std::min_element(c.fact.begin(), c.fact.end()));
+        EXPECT_EQ(range->GetValue(0, 1).i,
+                  *std::max_element(c.fact.begin(), c.fact.end()));
+        // A SUM that leaves the int64 range is a typed error, not a wrapped
+        // value.
+        int64_t sum = 0;
+        bool overflow = false;
+        for (int64_t k : c.dim) {
+          overflow |= __builtin_add_overflow(sum, k, &sum);
+        }
+        if (overflow) {
+          EXPECT_THROW(db.Query("SELECT SUM(d.k) AS s FROM d"), JbError);
+        } else {
+          EXPECT_EQ(db.Query("SELECT SUM(d.k) AS s FROM d")->GetValue(0, 0).i,
+                    sum);
+        }
+        check_groups(*db.Query("SELECT d.k AS k, COUNT(*) AS c FROM f JOIN d "
+                               "ON f.k = d.k GROUP BY d.k"),
+                     matched_groups);
+      }
     }
   }
 }

@@ -27,6 +27,7 @@
 #include "core/params.h"
 #include "core/train.h"
 #include "exec/engine.h"
+#include "exec/morsel.h"
 #include "storage/table.h"
 #include "diff_corpus.h"
 #include "test_util.h"
@@ -228,6 +229,188 @@ TEST_F(ParallelDifferentialTest, SemiAntiJoinsMatchAcrossConfigs) {
     for (size_t i = 1; i < results.size(); ++i) {
       EXPECT_EQ(results[0], results[i]) << "config " << i;
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Array path vs hash path: integer keys whose box is small index arrays,
+// others are hashed. Twin tables hold the same rows; the dense twin's keys
+// are small integers, the spread twin's are k * kSpread + kOffset, whose box
+// is far beyond any array. Each row also carries its dense key as a payload
+// (k1d, k2d), which the queries output instead of the keys. So the twins
+// must answer every query row for row: joins (duplicate build keys, probe
+// keys past the build range, NULL keys, composite keys, string keys across
+// dictionaries), IN subqueries (single-column and row-value), GROUP BY,
+// DISTINCT, window partitions and GROUPING SETS, at 1 and 4 threads,
+// planner on and off.
+// ---------------------------------------------------------------------------
+
+constexpr int64_t kSpread = 1000003;  // far above the row count
+constexpr int64_t kOffset = 7;
+
+/// `{p}fact`, `{p}d1` and `{p}dc` for prefix `p`, keys spread when `spread`.
+void BuildTwinTables(Database* db, const std::string& p, bool spread,
+                     size_t rows) {
+  auto key = [&](int64_t k) {
+    return spread && k != kNullInt64 ? k * kSpread + kOffset : k;
+  };
+  Rng rng(131);
+  std::vector<int64_t> k1(rows), k2(rows), k1d(rows), k2d(rows);
+  std::vector<std::string> cat(rows);
+  std::vector<double> x0(rows);
+  for (size_t i = 0; i < rows; ++i) {
+    k1d[i] = i % 97 == 5 ? kNullInt64 : rng.NextInt(0, 29);
+    k2d[i] = rng.NextInt(0, 10);
+    k1[i] = key(k1d[i]);
+    k2[i] = key(k2d[i]);
+    cat[i] = "c" + std::to_string(rng.NextInt(0, 11));
+    x0[i] = rng.NextDouble() * 10;
+  }
+  db->LoadTable(TableBuilder(p + "fact")
+                    .AddInts("k1", k1)
+                    .AddInts("k2", k2)
+                    .AddStrings("cat", cat)
+                    .AddDoubles("x0", x0)
+                    .AddInts("k1d", k1d)
+                    .AddInts("k2d", k2d)
+                    .Build());
+  // d1 covers k1 in [0, 17) with duplicate keys 2 and 5.
+  std::vector<int64_t> d1k, d1kd;
+  std::vector<double> f1;
+  for (int64_t k : {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16,
+                    2, 5}) {
+    d1kd.push_back(k);
+    d1k.push_back(key(k));
+    f1.push_back(static_cast<double>(rng.NextInt(1, 1000)));
+  }
+  db->LoadTable(TableBuilder(p + "d1")
+                    .AddInts("k1", d1k)
+                    .AddDoubles("f1", f1)
+                    .AddInts("k1d", d1kd)
+                    .Build());
+  // dc joins on (cat, k1); its strings have their own dictionary, in an
+  // order unlike the fact's, and "zz" appears in no fact row.
+  std::vector<std::string> dcat;
+  std::vector<int64_t> dck, dg;
+  for (int c : {7, 3, 11, 0, 5}) {
+    for (int64_t k = 0; k < 25; k += 3) {
+      dcat.push_back("c" + std::to_string(c));
+      dck.push_back(key(k));
+      dg.push_back(c * 100 + k);
+    }
+  }
+  dcat.push_back("zz");
+  dck.push_back(key(1));
+  dg.push_back(-1);
+  db->LoadTable(TableBuilder(p + "dc")
+                    .AddStrings("cat", dcat)
+                    .AddInts("k1", dck)
+                    .AddInts("g", dg)
+                    .Build());
+}
+
+/// Queries over `{f}`, `{d1}` and `{dc}`, outputting dense payloads only.
+const char* const kTwinQueries[] = {
+    "SELECT f.k1d AS k, d.f1 AS v FROM {f} f JOIN {d1} d ON f.k1 = d.k1",
+    "SELECT f.k1d AS k, d.k1d AS dk, d.f1 AS v FROM {f} f LEFT JOIN {d1} d "
+    "ON f.k1 = d.k1",
+    "SELECT f.k1d AS k, f.x0 AS x FROM {f} f SEMI JOIN {d1} d "
+    "ON f.k1 = d.k1",
+    "SELECT f.k1d AS k, f.x0 AS x FROM {f} f ANTI JOIN {d1} d "
+    "ON f.k1 = d.k1",
+    "SELECT f.k1d AS k, f.k2d AS k2, d.g AS g FROM {f} f JOIN {dc} d "
+    "ON f.cat = d.cat AND f.k1 = d.k1",
+    "SELECT f.k1d AS k, d.g AS g FROM {f} f LEFT JOIN {dc} d "
+    "ON f.k1 = d.k1 AND f.cat = d.cat",
+    "SELECT f.k1d AS k, f.cat AS c FROM {f} f SEMI JOIN {dc} d "
+    "ON f.cat = d.cat AND f.k1 = d.k1",
+    "SELECT f.k1d AS k, f.cat AS c FROM {f} f ANTI JOIN {dc} d "
+    "ON f.cat = d.cat AND f.k1 = d.k1",
+    "SELECT f.k1d AS k, f.x0 AS x FROM {f} f WHERE f.k1 IN "
+    "(SELECT d.k1 FROM {d1} d WHERE d.f1 > 300)",
+    "SELECT f.k1d AS k, f.x0 AS x FROM {f} f WHERE f.k1 NOT IN "
+    "(SELECT d.k1 FROM {d1} d WHERE d.f1 > 300)",
+    "SELECT f.k1d AS k, f.cat AS c FROM {f} f WHERE (f.cat, f.k1) IN "
+    "(SELECT d.cat, d.k1 FROM {dc} d WHERE d.g > 300)",
+    "SELECT CASE WHEN f.k1 IN (SELECT d.k1 FROM {d1} d WHERE d.f1 > 500) "
+    "THEN f.x0 WHEN (f.cat, f.k1) IN (SELECT d.cat, d.k1 FROM {dc} d) "
+    "THEN f.k2d ELSE 0 - f.x0 END AS v FROM {f} f",
+    "SELECT MIN(f.k1d) AS k, COUNT(*) AS c, SUM(f.x0) AS s FROM {f} f "
+    "GROUP BY f.k1",
+    "SELECT MIN(f.k1d) AS k, MIN(f.k2d) AS k2, COUNT(f.x0) AS c, "
+    "SUM(f.x0) AS s, AVG(f.x0) AS m, MAX(f.x0) AS hi FROM {f} f "
+    "GROUP BY f.k1, f.k2",
+    "SELECT MIN(f.k1d) AS k, MIN(f.cat) AS c, SUM(f.x0) AS s FROM {f} f "
+    "GROUP BY f.cat, f.k1",
+    "SELECT MIN(d.k1d) AS k, SUM(f.x0 * d.f1) AS s, COUNT(*) AS c "
+    "FROM {f} f JOIN {d1} d ON f.k1 = d.k1 GROUP BY d.k1",
+    "SELECT s.k1d AS k, s.k2d AS k2 FROM "
+    "(SELECT DISTINCT f.k1, f.k2, f.k1d, f.k2d FROM {f} f) s",
+    "SELECT SUM(f.x0) OVER (PARTITION BY f.k1 ORDER BY f.x0) AS w "
+    "FROM {f} f",
+    "SELECT GROUPING_ID() AS set_id, MIN(f.k1d) AS a, MIN(f.k2d) AS b, "
+    "COUNT(*) AS c, SUM(f.x0) AS s FROM {f} f "
+    "GROUP BY GROUPING SETS ((f.k1), (f.k2), (f.k1, f.k2))",
+};
+
+std::string TwinSql(const char* tmpl, const std::string& p) {
+  std::string sql = tmpl;
+  for (const char* t : {"f", "d1", "dc"}) {
+    const std::string from = std::string("{") + t + "}";
+    const std::string to = p + (std::string(t) == "f" ? "fact" : t);
+    for (size_t at = sql.find(from); at != std::string::npos;
+         at = sql.find(from, at)) {
+      sql.replace(at, from.size(), to);
+    }
+  }
+  return sql;
+}
+
+TEST(ArrayPathDifferentialTest, ArrayAndHashPathsAnswerAlike) {
+  constexpr size_t kRows = 6000;
+  // The spread keys' box is beyond the array path's limit; the dense one's
+  // is within it.
+  {
+    std::vector<int64_t> dense = {0, 29, 3}, spread;
+    for (int64_t k : dense) spread.push_back(k * kSpread + kOffset);
+    exec::VectorData dv = exec::VectorData::FromInts(dense);
+    exec::VectorData sv = exec::VectorData::FromInts(spread);
+    exec::morsel::KeyBox box;
+    const uint64_t limit = exec::morsel::kBoxSlotsPerRow * kRows;
+    EXPECT_TRUE(exec::morsel::FitKeyBox({&dv}, 3, false, limit, &box));
+    EXPECT_FALSE(exec::morsel::FitKeyBox({&sv}, 3, false, limit, &box));
+  }
+  for (bool planner : {true, false}) {
+    plan::PlanStats dense_stats[2], spread_stats[2];
+    for (int t = 0; t < 2; ++t) {
+      const int threads = t == 0 ? 1 : 4;
+      SCOPED_TRACE(std::string(planner ? "planner on" : "planner off") +
+                   ", threads " + std::to_string(threads));
+      Database db(DiffProfile(planner, threads));
+      BuildTwinTables(&db, "t_", /*spread=*/false, kRows);
+      BuildTwinTables(&db, "w_", /*spread=*/true, kRows);
+      for (const char* tmpl : kTwinQueries) {
+        SCOPED_TRACE(tmpl);
+        db.ClearPlanStats();
+        auto dense = RowStrings(*db.Query(TwinSql(tmpl, "t_")));
+        dense_stats[t] += db.PlanStatsTotals();
+        db.ClearPlanStats();
+        auto spread = RowStrings(*db.Query(TwinSql(tmpl, "w_")));
+        spread_stats[t] += db.PlanStatsTotals();
+        EXPECT_FALSE(dense.empty());
+        EXPECT_EQ(dense, spread);
+      }
+    }
+    // Each path's counters are canonical: identical at 1 and 4 threads.
+    for (const plan::PlanStats* s : {dense_stats, spread_stats}) {
+      EXPECT_GT(s[0].hash_probes, 0u);
+      EXPECT_EQ(s[0].hash_probes, s[1].hash_probes);
+      EXPECT_EQ(s[0].hash_chain_follows, s[1].hash_chain_follows);
+      EXPECT_EQ(s[0].hash_bytes, s[1].hash_bytes);
+    }
+    // The dense twin's arrays are smaller than the spread twin's hash
+    // tables: the two streams took different paths.
+    EXPECT_LT(dense_stats[0].hash_bytes, spread_stats[0].hash_bytes);
   }
 }
 

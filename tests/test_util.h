@@ -8,13 +8,16 @@
 #include <unistd.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/dataset.h"
+#include "core/model.h"
 #include "data/generators.h"
 #include "exec/engine.h"
 #include "storage/table.h"
@@ -132,6 +135,41 @@ inline Dataset MakeSnowflakeDataset(exec::Database* db) {
   ds.AddJoin("fact", "d1", {"k1"});
   ds.AddJoin("fact", "d2", {"k2"});
   return ds;
+}
+
+/// Every field of every tree node equal, doubles bit for bit.
+inline void ExpectModelsBitIdentical(const core::Ensemble& a,
+                                     const core::Ensemble& b,
+                                     const std::string& label) {
+  auto bits = [](double x) {
+    uint64_t u;
+    std::memcpy(&u, &x, sizeof(u));
+    return u;
+  };
+  ASSERT_EQ(a.trees.size(), b.trees.size()) << label;
+  EXPECT_EQ(bits(a.base_score), bits(b.base_score)) << label;
+  for (size_t t = 0; t < a.trees.size(); ++t) {
+    const auto& ta = a.trees[t].nodes;
+    const auto& tb = b.trees[t].nodes;
+    ASSERT_EQ(ta.size(), tb.size()) << label << " tree " << t;
+    for (size_t n = 0; n < ta.size(); ++n) {
+      SCOPED_TRACE(label + " tree " + std::to_string(t) + " node " +
+                   std::to_string(n));
+      EXPECT_EQ(ta[n].is_leaf, tb[n].is_leaf);
+      EXPECT_EQ(ta[n].feature, tb[n].feature);
+      EXPECT_EQ(ta[n].relation, tb[n].relation);
+      EXPECT_EQ(ta[n].categorical, tb[n].categorical);
+      EXPECT_EQ(bits(ta[n].threshold), bits(tb[n].threshold));
+      EXPECT_EQ(ta[n].category, tb[n].category);
+      EXPECT_EQ(ta[n].category_str, tb[n].category_str);
+      EXPECT_EQ(bits(ta[n].gain), bits(tb[n].gain));
+      EXPECT_EQ(ta[n].left, tb[n].left);
+      EXPECT_EQ(ta[n].right, tb[n].right);
+      EXPECT_EQ(bits(ta[n].prediction), bits(tb[n].prediction));
+      EXPECT_EQ(bits(ta[n].count), bits(tb[n].count));
+      EXPECT_EQ(bits(ta[n].sum), bits(tb[n].sum));
+    }
+  }
 }
 
 /// Favorita generator config shrunk to integration-test size.
