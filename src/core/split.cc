@@ -3,13 +3,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <numeric>
 #include <vector>
 
-#include "exec/hash_table.h"
 #include "sql/printer.h"
 #include "util/check.h"
-#include "util/rng.h"
 
 namespace joinboost {
 namespace core {
@@ -31,18 +28,6 @@ ChildPredicates SplitPredicates(const std::string& feature, bool categorical,
 
 namespace {
 
-double DoubleFromBits(int64_t bits) {
-  double d;
-  std::memcpy(&d, &bits, sizeof d);
-  return d;
-}
-
-int64_t BitsOfDouble(double d) {
-  int64_t bits;
-  std::memcpy(&bits, &d, sizeof bits);
-  return bits;
-}
-
 /// A c or s cell as a double; an int NULL reads as NaN.
 double CellAsDouble(const exec::VectorData& col, size_t row) {
   if (col.type == TypeId::kFloat64) return (*col.dbls)[row];
@@ -50,28 +35,16 @@ double CellAsDouble(const exec::VectorData& col, size_t row) {
   return v == kNullInt64 ? NullFloat64() : static_cast<double>(v);
 }
 
-/// Sort key of bin i's value: the double, or the int cast to double.
-double OrderKey(const Histogram& hist, size_t i) {
-  const int64_t v = hist.bins[i].value;
-  return hist.type == TypeId::kFloat64 ? DoubleFromBits(v)
-                                       : static_cast<double>(v);
+/// A numeric cell as the double its threshold becomes.
+double NumericCell(const exec::VectorData& col, size_t row) {
+  return col.type == TypeId::kFloat64 ? (*col.dbls)[row]
+                                      : static_cast<double>((*col.ints)[row]);
 }
 
-/// Bin i's value; a string Value carries its code in `i`.
-Value BinValue(const Histogram& hist, size_t i) {
-  const int64_t v = hist.bins[i].value;
-  switch (hist.type) {
-    case TypeId::kInt64:
-      return Value::Int(v);
-    case TypeId::kFloat64:
-      return Value::Double(DoubleFromBits(v));
-    case TypeId::kString: {
-      Value out = Value::Str(hist.dict->At(v));
-      out.i = v;
-      return out;
-    }
-  }
-  return Value::Null(hist.type);
+/// Sum of two bins sharing a slot, a NaN adding nothing.
+double AddSkippingNull(double a, double b) {
+  if (IsNullFloat64(a)) return b;
+  return IsNullFloat64(b) ? a : a + b;
 }
 
 /// Division where a zero divisor yields NaN (a NULL criterion).
@@ -79,75 +52,245 @@ double NullDiv(double x, double y) {
   return y == 0.0 ? NullFloat64() : x / y;
 }
 
-}  // namespace
-
-std::vector<Histogram> HistogramsFromResult(const exec::ExecTable& result,
-                                            size_t num_attrs) {
+/// Each set id's rows of a histogram result, rows (set_id, attrs..., c, s).
+std::vector<std::vector<uint32_t>> RowsBySet(const exec::ExecTable& result,
+                                             size_t num_attrs) {
   JB_CHECK_MSG(result.cols.size() == num_attrs + 3,
                "histogram result has " << result.cols.size()
                                        << " columns for " << num_attrs
                                        << " attributes");
   const std::vector<int64_t>& set_id = result.Col(0).Ints();
-  const exec::VectorData& c = result.Col(1 + num_attrs);
-  const exec::VectorData& s = result.Col(2 + num_attrs);
-  // Count each set's rows first, so every histogram is allocated once.
-  std::vector<size_t> rows_of(num_attrs, 0);
+  std::vector<size_t> count(num_attrs, 0);
   for (size_t r = 0; r < result.rows; ++r) {
     const size_t sid = static_cast<size_t>(set_id[r]);
     JB_CHECK_MSG(sid < num_attrs, "histogram set id " << sid
                                       << " out of range for " << num_attrs
                                       << " attributes");
-    ++rows_of[sid];
+    ++count[sid];
   }
-  std::vector<Histogram> out(num_attrs);
-  for (size_t a = 0; a < num_attrs; ++a) {
-    const exec::VectorData& col = result.Col(1 + a);
-    out[a].type = col.type;
-    out[a].dict = col.dict;
-    out[a].bins.reserve(rows_of[a]);
-  }
+  std::vector<std::vector<uint32_t>> rows(num_attrs);
+  for (size_t a = 0; a < num_attrs; ++a) rows[a].reserve(count[a]);
   for (size_t r = 0; r < result.rows; ++r) {
-    const size_t sid = static_cast<size_t>(set_id[r]);
-    const exec::VectorData& col = result.Col(1 + sid);
-    if (col.IsNull(r)) continue;  // the NULL rule
-    Histogram::Bin bin;
-    bin.value = col.type == TypeId::kFloat64 ? BitsOfDouble((*col.dbls)[r])
-                                             : (*col.ints)[r];
-    bin.c = CellAsDouble(c, r);
-    bin.s = CellAsDouble(s, r);
-    out[sid].bins.push_back(bin);
+    rows[static_cast<size_t>(set_id[r])].push_back(static_cast<uint32_t>(r));
+  }
+  return rows;
+}
+
+/// The histogram of `col`'s non-NULL bins at `rows`, with their c and s
+/// cells, in ascending slot order of `order`. A presence bitmap over the
+/// slots ranks them; bins that share a slot are summed.
+Histogram SlotHistogram(const exec::VectorData& col,
+                        const std::vector<uint32_t>& rows,
+                        const exec::VectorData& c, const exec::VectorData& s,
+                        const FeatureOrder& order) {
+  // A NULL has no slot: the NULL rule.
+  const std::vector<uint32_t> slot_of = order.SlotsOf(col, rows);
+  std::vector<uint64_t> present((order.num_slots() + 63) / 64, 0);
+  for (const uint32_t slot : slot_of) {
+    if (slot != FeatureOrder::kNoSlot) {
+      present[slot >> 6] |= 1ULL << (slot & 63);
+    }
+  }
+  // rank[w]: the number of present slots below word w.
+  std::vector<uint32_t> rank(present.size());
+  uint32_t n = 0;
+  for (size_t w = 0; w < present.size(); ++w) {
+    rank[w] = n;
+    n += static_cast<uint32_t>(__builtin_popcountll(present[w]));
+  }
+  Histogram out;
+  out.slot.assign(n, FeatureOrder::kNoSlot);
+  out.c.resize(n);
+  out.s.resize(n);
+  for (size_t k = 0; k < rows.size(); ++k) {
+    const uint32_t slot = slot_of[k];
+    if (slot == FeatureOrder::kNoSlot) continue;
+    const uint64_t below = present[slot >> 6] & ((1ULL << (slot & 63)) - 1);
+    const uint32_t pos =
+        rank[slot >> 6] + static_cast<uint32_t>(__builtin_popcountll(below));
+    const double bin_c = CellAsDouble(c, rows[k]);
+    const double bin_s = CellAsDouble(s, rows[k]);
+    if (out.slot[pos] == FeatureOrder::kNoSlot) {
+      out.slot[pos] = slot;
+      out.c[pos] = bin_c;
+      out.s[pos] = bin_s;
+    } else {
+      out.c[pos] = AddSkippingNull(out.c[pos], bin_c);
+      out.s[pos] = AddSkippingNull(out.s[pos], bin_s);
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+FeatureOrder::FeatureOrder(const exec::VectorData& col,
+                           const std::vector<uint32_t>& rows)
+    : type_(col.type), dict_(col.dict) {
+  if (categorical()) {
+    int64_t max_code = -1;
+    for (const uint32_t r : rows) {
+      if (!col.IsNull(r)) max_code = std::max(max_code, (*col.ints)[r]);
+    }
+    num_slots_ = static_cast<uint32_t>(max_code + 1);
+    index_.assign((num_slots_ + 31) / 32, 0);
+    for (const uint32_t r : rows) {
+      if (col.IsNull(r)) continue;
+      const auto code = static_cast<uint32_t>((*col.ints)[r]);
+      index_[code >> 5] |= 1U << (code & 31);
+    }
+    return;
+  }
+  values_.reserve(rows.size());
+  for (const uint32_t r : rows) {
+    if (!col.IsNull(r)) values_.push_back(NumericCell(col, r));
+  }
+  std::sort(values_.begin(), values_.end());
+  values_.erase(std::unique(values_.begin(), values_.end()), values_.end());
+  for (double& v : values_) {
+    if (v == 0.0) v = 0.0;  // the slot of -0.0 and 0.0 holds 0.0
+  }
+  values_.shrink_to_fit();
+  num_slots_ = static_cast<uint32_t>(values_.size());
+  size_t capacity = 2;
+  shift_ = 63;
+  while (capacity < 2 * values_.size()) {
+    capacity *= 2;
+    --shift_;
+  }
+  index_.assign(capacity, kNoSlot);
+  for (uint32_t slot = 0; slot < num_slots_; ++slot) {
+    size_t at = HashAt(values_[slot]);
+    while (index_[at] != kNoSlot) at = (at + 1) & (capacity - 1);
+    index_[at] = slot;
+  }
+}
+
+size_t FeatureOrder::HashAt(double v) const {
+  if (v == 0.0) v = 0.0;
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof bits);
+  return static_cast<size_t>((bits * 0x9E3779B97F4A7C15ULL) >> shift_);
+}
+
+uint32_t FeatureOrder::Find(const exec::VectorData& col, size_t row) const {
+  if (categorical()) {
+    const int64_t code = (*col.ints)[row];
+    const bool held = code >= 0 && code < static_cast<int64_t>(num_slots_) &&
+                      ((index_[static_cast<size_t>(code) >> 5] >>
+                        (static_cast<size_t>(code) & 31)) & 1U);
+    return held ? static_cast<uint32_t>(code) : kNoSlot;
+  }
+  if (index_.empty()) return kNoSlot;
+  const double v = NumericCell(col, row);
+  const size_t mask = index_.size() - 1;
+  size_t at = HashAt(v);
+  while (index_[at] != kNoSlot && values_[index_[at]] != v) {
+    at = (at + 1) & mask;
+  }
+  return index_[at];
+}
+
+bool FeatureOrder::Reads(const exec::VectorData& col) const {
+  return categorical() ? col.type == TypeId::kString && col.dict == dict_
+                       : col.type != TypeId::kString;
+}
+
+std::vector<uint32_t> FeatureOrder::SlotsOf(
+    const exec::VectorData& col, const std::vector<uint32_t>& rows) const {
+  JB_CHECK_MSG(Reads(col), "a histogram's values are not of its root's kind "
+                           "or dictionary");
+  std::vector<uint32_t> out(rows.size());
+  for (size_t k = 0; k < rows.size(); ++k) {
+    if (col.IsNull(rows[k])) {
+      out[k] = kNoSlot;
+      continue;
+    }
+    out[k] = Find(col, rows[k]);
+    JB_CHECK_MSG(out[k] != kNoSlot, "value " << NumericCell(col, rows[k])
+                                             << " is not in the tree root's "
+                                                "order");
+  }
+  return out;
+}
+
+bool FeatureOrder::Holds(const exec::VectorData& col,
+                         const std::vector<uint32_t>& rows) const {
+  if (!Reads(col)) return false;
+  for (const uint32_t r : rows) {
+    if (!col.IsNull(r) && Find(col, r) == kNoSlot) return false;
+  }
+  return true;
+}
+
+Value FeatureOrder::ValueAt(uint32_t slot) const {
+  if (!categorical()) return Value::Double(values_.at(slot));
+  Value out = Value::Str(dict_->At(slot));
+  out.i = slot;
+  return out;
+}
+
+std::vector<FeatureOrder> OrdersFromResult(const exec::ExecTable& result,
+                                           std::vector<FeatureOrder> last) {
+  const std::vector<std::vector<uint32_t>> rows =
+      RowsBySet(result, last.size());
+  std::vector<FeatureOrder> out;
+  out.reserve(last.size());
+  for (size_t a = 0; a < last.size(); ++a) {
+    const exec::VectorData& col = result.Col(1 + a);
+    if (last[a].Holds(col, rows[a])) {
+      out.push_back(std::move(last[a]));
+    } else {
+      out.emplace_back(col, rows[a]);
+    }
+  }
+  return out;
+}
+
+std::vector<Histogram> HistogramsFromResult(
+    const exec::ExecTable& result, const std::vector<FeatureOrder>& orders) {
+  const std::vector<std::vector<uint32_t>> rows =
+      RowsBySet(result, orders.size());
+  const exec::VectorData& c = result.Col(1 + orders.size());
+  const exec::VectorData& s = result.Col(2 + orders.size());
+  std::vector<Histogram> out;
+  out.reserve(orders.size());
+  for (size_t a = 0; a < orders.size(); ++a) {
+    out.push_back(SlotHistogram(result.Col(1 + a), rows[a], c, s, orders[a]));
   }
   return out;
 }
 
 Histogram SubtractHistogram(const Histogram& parent,
                             const Histogram& smaller) {
-  JB_CHECK_MSG(parent.type == smaller.type && parent.dict == smaller.dict,
-               "sibling subtraction needs two histograms of one column");
-  // Index the smaller child's bins by value. SplitMix64 is a bijection, so
-  // equal hashes mean equal value bits.
-  std::vector<uint64_t> hashes(smaller.bins.size());
-  for (size_t i = 0; i < hashes.size(); ++i) {
-    hashes[i] = SplitMix64(static_cast<uint64_t>(smaller.bins[i].value));
-  }
-  exec::hash::JoinHashTable index;
-  index.Build(hashes.data(), hashes.size());
-
+  // The smaller child's rows are some of the parent's, so its slots are a
+  // subset of the parent's and one step of `j` per match merges them.
   Histogram out;
-  out.type = parent.type;
-  out.dict = parent.dict;
-  out.bins.reserve(parent.bins.size());
-  for (const Histogram::Bin& bin : parent.bins) {
-    Histogram::Bin rest = bin;
-    const uint32_t j =
-        index.Probe(SplitMix64(static_cast<uint64_t>(bin.value)));
-    if (j != exec::hash::kInvalidIndex) {
-      rest.c -= smaller.bins[j].c;
-      rest.s -= smaller.bins[j].s;
-    }
-    if (rest.c != 0.0) out.bins.push_back(rest);
+  out.slot.resize(parent.size());
+  out.c.resize(parent.size());
+  out.s.resize(parent.size());
+  size_t n = 0, j = 0;
+  for (size_t i = 0; i < parent.size(); ++i) {
+    const uint32_t slot = parent.slot[i];
+    const bool match = j < smaller.size() && smaller.slot[j] == slot;
+    // x - 0.0 has the bits of x, so an unmatched bin keeps its own.
+    const double c = parent.c[i] - (match ? smaller.c[j] : 0.0);
+    const double s = parent.s[i] - (match ? smaller.s[j] : 0.0);
+    j += match;
+    out.slot[n] = slot;
+    out.c[n] = c;
+    out.s[n] = s;
+    n += c != 0.0;  // a bin whose c reaches 0 is dropped
   }
-  out.bins.shrink_to_fit();  // a leaf may retain it
+  JB_CHECK_MSG(j == smaller.size(),
+               "a child's histogram holds a slot its parent's does not");
+  // A leaf may retain it.
+  for (auto* v : {&out.c, &out.s}) {
+    v->resize(n);
+    v->shrink_to_fit();
+  }
+  out.slot.resize(n);
+  out.slot.shrink_to_fit();
   return out;
 }
 
@@ -176,50 +319,30 @@ double CriterionValue(double c, double s, const CriterionParams& p) {
   return gain;
 }
 
-HistogramSplit BestSplitFromHistogram(const Histogram& hist, bool categorical,
+HistogramSplit BestSplitFromHistogram(const Histogram& hist,
+                                      const FeatureOrder& order,
                                       const CriterionParams& p) {
-  const std::vector<Histogram::Bin>& bins = hist.bins;
-  const size_t n = bins.size();
   // A categorical bin stands alone (`f = v`); a numeric one takes the
-  // running sums up to it in stable value order (`f <= v`), written back
-  // per bin. c and s accumulate independently. Bins whose keys compare
-  // equal (-0.0 and 0.0, which GROUP BY keeps apart by their bits) all
-  // satisfy `f <= v` together, so each takes the sums through the last.
-  std::vector<double> cum_c, cum_s;
-  if (!categorical) {
-    std::vector<double> key(n);
-    for (size_t i = 0; i < n; ++i) key[i] = OrderKey(hist, i);
-    std::vector<uint32_t> order(n);
-    std::iota(order.begin(), order.end(), 0u);
-    std::stable_sort(order.begin(), order.end(),
-                     [&](uint32_t a, uint32_t b) { return key[a] < key[b]; });
-    cum_c.resize(n);
-    cum_s.resize(n);
-    double run_c = 0.0, run_s = 0.0;
-    for (size_t i = 0, j = 0; i < n; i = j) {
-      do {
-        const uint32_t r = order[j];
-        if (!IsNullFloat64(bins[r].c)) run_c += bins[r].c;
-        if (!IsNullFloat64(bins[r].s)) run_s += bins[r].s;
-      } while (++j < n && key[order[j]] == key[order[i]]);
-      for (size_t k = i; k < j; ++k) {
-        cum_c[order[k]] = run_c;
-        cum_s[order[k]] = run_s;
-      }
-    }
-  }
-
-  // Bounds, criterion and argmax, scanning in histogram order: a later bin
-  // wins only with a strictly greater criterion, and the first bin with a
-  // NULL criterion wins over every finite one.
+  // running sums through its slot (`f <= v`). c and s accumulate
+  // independently. A later slot wins only with a strictly greater
+  // criterion, and the first slot with a NULL criterion wins over every
+  // finite one.
+  const bool categorical = order.categorical();
   const double c_lo = p.min_leaf;
   const double c_hi = p.c_total - p.min_leaf;
   HistogramSplit best;
-  size_t best_bin = 0;
+  uint32_t best_slot = 0;
   bool win_null = false;
-  for (size_t i = 0; i < n; ++i) {
-    const double c = categorical ? bins[i].c : cum_c[i];
-    const double s = categorical ? bins[i].s : cum_s[i];
+  double run_c = 0.0, run_s = 0.0;
+  for (size_t i = 0; i < hist.size(); ++i) {
+    double c = hist.c[i];
+    double s = hist.s[i];
+    if (!categorical) {
+      if (!IsNullFloat64(c)) run_c += c;
+      if (!IsNullFloat64(s)) run_s += s;
+      c = run_c;
+      s = run_s;
+    }
     if (!(c >= c_lo && c <= c_hi)) continue;  // a NaN c fails too
     const double crit = CriterionValue(c, s, p);
     const bool is_null = IsNullFloat64(crit);
@@ -229,12 +352,12 @@ HistogramSplit BestSplitFromHistogram(const Histogram& hist, bool categorical,
     }
     win_null = is_null;
     best.valid = true;
-    best_bin = i;
+    best_slot = hist.slot[i];
     best.c = c;
     best.s = s;
     best.criteria = crit;
   }
-  if (best.valid) best.val = BinValue(hist, best_bin);
+  if (best.valid) best.val = order.ValueAt(best_slot);
   return best;
 }
 

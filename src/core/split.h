@@ -49,35 +49,98 @@ struct CriterionParams {
   bool halved = false;       ///< 0.5 factor of the boosting gain
 };
 
-/// One feature's histogram at a leaf, in the compact form the split kernel
-/// reads and a leaf retains for sibling subtraction: its non-NULL bins in
-/// aggregation (group first-occurrence) order, 24 bytes a bin.
-struct Histogram {
-  struct Bin {
-    int64_t value = 0;  ///< the int64, the dictionary code or the float64 bits
-    double c = 0;
-    double s = 0;
-  };
-  TypeId type = TypeId::kFloat64;
-  DictionaryPtr dict;  ///< kString: the dictionary of the codes
-  std::vector<Bin> bins;
+/// One feature's value order over one tree. The tree's root histogram
+/// result fixes it, with at most one sort per feature per tree: every
+/// node's rows are a subset of its root's, so every value a node's
+/// histogram holds has a slot.
+///  - A numeric feature's slots are its distinct non-NULL values at the
+///    root, ascending. An int64 is compared as the double its threshold
+///    becomes, so values a threshold cannot separate (beyond 2^53) share a
+///    slot, and -0.0 and 0.0 share a slot.
+///  - A categorical feature's slot is its dictionary code.
+/// The index maps a value to its slot: for a numeric feature an
+/// open-addressed table of slots probed by the value's bits, so a slot
+/// costs 8 bytes of value and 8 to 16 of table; for a categorical one a bit
+/// per code. The categorical codes must be of the root's dictionary.
+class FeatureOrder {
+ public:
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
+
+  FeatureOrder() = default;
+  /// The order of the non-NULL values of `col` at `rows`.
+  FeatureOrder(const exec::VectorData& col, const std::vector<uint32_t>& rows);
+
+  bool categorical() const { return type_ == TypeId::kString; }
+  uint32_t num_slots() const { return num_slots_; }
+  /// The slot of each cell of `col` at `rows`, kNoSlot for a NULL. A
+  /// non-NULL value the root did not hold is a JbError.
+  std::vector<uint32_t> SlotsOf(const exec::VectorData& col,
+                                const std::vector<uint32_t>& rows) const;
+  /// True when every non-NULL cell of `col` at `rows` has a slot.
+  bool Holds(const exec::VectorData& col,
+             const std::vector<uint32_t>& rows) const;
+  /// The split value at `slot`: the threshold as a double, or the category
+  /// as a string Value carrying its code in `i`.
+  Value ValueAt(uint32_t slot) const;
+
+ private:
+  /// Position of `v` in the numeric table (multiply-shift of its bits,
+  /// -0.0 read as 0.0).
+  size_t HashAt(double v) const;
+  /// The slot of `col`'s non-NULL cell at `row`, kNoSlot for a value the
+  /// order lacks.
+  uint32_t Find(const exec::VectorData& col, size_t row) const;
+  /// Whether `col` holds values of this order's kind: numbers for a
+  /// numeric order, codes of its dictionary for a categorical one.
+  bool Reads(const exec::VectorData& col) const;
+
+  TypeId type_ = TypeId::kFloat64;
+  uint32_t num_slots_ = 0;
+  DictionaryPtr dict_;          ///< categorical: the codes' dictionary
+  std::vector<double> values_;  ///< numeric: slot -> value
+  /// Numeric: slot table probed by the value's bits (kNoSlot = empty);
+  /// categorical: one presence bit per code.
+  std::vector<uint32_t> index_;
+  int shift_ = 63;  ///< numeric: 64 - log2 of the table's size
 };
 
+/// One feature's histogram at a node, in the compact form the split kernel
+/// reads and a leaf retains for sibling subtraction: its non-NULL bins as
+/// slots of the tree's FeatureOrder in ascending slot order, each with its
+/// c and s, 20 bytes a bin.
+struct Histogram {
+  std::vector<uint32_t> slot;
+  std::vector<double> c;
+  std::vector<double> s;
+  size_t size() const { return slot.size(); }
+};
+
+/// One FeatureOrder per attribute of a tree root's histogram result, rows
+/// (set_id, attrs..., c, s). An attribute keeps its order from `last` (one
+/// per attribute, the last tree's, or empty) when that order holds every
+/// value the root does, as the roots of a gbdt, over the same rows, all
+/// do: slots the root lacks change no result.
+std::vector<FeatureOrder> OrdersFromResult(const exec::ExecTable& result,
+                                           std::vector<FeatureOrder> last);
+
 /// Demultiplexes a histogram query's result, rows (set_id, attrs..., c, s),
-/// into one Histogram per attribute, reading its typed columns. The NULL
-/// rule lives here: a bin whose value is NULL (the int sentinel or NaN) is
+/// into one Histogram per attribute, each bin mapped through its
+/// attribute's order in `orders`. A presence bitmap over the slots places
+/// the bins in slot order, O(bins + slots/64) with no comparison sort. Bins
+/// that share a slot are summed, a NaN c or s adding nothing. The NULL rule
+/// lives here: a bin whose value is NULL (the int sentinel or NaN) is
 /// dropped, so it is neither summed nor a split candidate. Its rows stay in
 /// the node's totals, so the right child (parent − left) holds them, as
 /// SplitPredicates and TreeModel::Predict route them. A NULL c or s reads
 /// as NaN.
-std::vector<Histogram> HistogramsFromResult(const exec::ExecTable& result,
-                                            size_t num_attrs);
+std::vector<Histogram> HistogramsFromResult(
+    const exec::ExecTable& result, const std::vector<FeatureOrder>& orders);
 
 /// Sibling subtraction: the histogram of the child that was not queried, as
-/// `parent` minus `smaller` (its queried sibling's) bin by bin. Bins match
-/// by value bits, the way GROUP BY groups them; the result keeps the
-/// parent's bin order and drops a bin whose c reaches 0. Exact in c only
-/// when c counts join tuples, so a bin is empty exactly when its c is 0.
+/// `parent` minus `smaller` (its queried sibling's) slot by slot, by one
+/// merge of the two slot lists. A bin whose c reaches 0 is dropped. Exact
+/// in c only when c counts join tuples, so a bin is empty exactly when its
+/// c is 0.
 Histogram SubtractHistogram(const Histogram& parent, const Histogram& smaller);
 
 /// Winning bin of the threshold enumeration over one histogram. `criteria`
@@ -97,18 +160,18 @@ struct HistogramSplit {
 double CriterionValue(double c, double s, const CriterionParams& p);
 
 /// Threshold enumeration over one feature's histogram (NULL bins are
-/// already out: HistogramsFromResult). Its rules:
-///  - Sums: a numeric feature's bins are stable-sorted by value (ints as
-///    doubles) and summed in that order (`f <= v`), a NaN c or s adding
-///    nothing; a categorical bin stands alone (`f = v`). A bin passes when
-///    min_leaf <= c <= C − min_leaf.
-///  - Order: bins are scanned in histogram order, and a later bin wins only
-///    with a strictly greater criterion, so ties keep the first. A NULL
+/// already out: HistogramsFromResult), in one pass over its slots. Its
+/// rules:
+///  - Sums: a numeric feature's bins are summed in slot (value) order
+///    (`f <= v`), a NaN c or s adding nothing; a categorical bin stands
+///    alone (`f = v`). A bin passes when min_leaf <= c <= C − min_leaf.
+///  - Order: a later slot wins only with a strictly greater criterion, so
+///    ties keep the lowest slot, i.e. the smallest threshold. A NULL
 ///    criterion (division by zero) wins over every finite one and keeps the
-///    first such bin.
-/// The tie and NULL-criterion orders are those of the per-feature split
-/// SQL this kernel replaced, so earlier models keep their bits.
-HistogramSplit BestSplitFromHistogram(const Histogram& hist, bool categorical,
+///    first such slot.
+/// The winning value is read from `order` at the winning slot.
+HistogramSplit BestSplitFromHistogram(const Histogram& hist,
+                                      const FeatureOrder& order,
                                       const CriterionParams& p);
 
 }  // namespace core

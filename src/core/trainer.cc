@@ -62,12 +62,26 @@ TreeGrower::NodeHistograms TreeGrower::QueryHistograms(
   const factor::LeafHistograms leaf_hists =
       fac_->BatchedHistograms(requests, leaf.preds, "message");
 
+  // The tree's root result fixes each feature's order, keeping the last
+  // tree's where it still holds; every later node's bins are mapped into
+  // it.
+  std::vector<std::vector<FeatureOrder>> last(requests.size());
+  if (leaf.node == 0) {
+    for (size_t j = 0; j < requests.size(); ++j) {
+      for (const std::string& f : requests[j].attrs) {
+        last[j].push_back(std::move(last_orders_[f]));
+      }
+    }
+  }
+
   // Phase 2 (optionally parallel across relations): run each query and
   // demultiplex its rows by set_id into per-feature histograms.
   NodeHistograms hists(groups_.size());
   auto run_one = [&](size_t j) {
     auto res = fac_->db()->Query(leaf_hists.sql[j], "feature");
-    hists[queried[j]] = HistogramsFromResult(*res, requests[j].attrs.size());
+    std::vector<FeatureOrder>& orders = orders_[queried[j]];
+    if (leaf.node == 0) orders = OrdersFromResult(*res, std::move(last[j]));
+    hists[queried[j]] = HistogramsFromResult(*res, orders);
   };
   split_queries_ += requests.size();
   if (params_.inter_query_parallelism && requests.size() > 1) {
@@ -97,7 +111,7 @@ SplitCandidate TreeGrower::BestSplit(const LeafState& leaf,
     const FeatureGroup& group = groups_[g];
     for (size_t fi = 0; fi < hists[g].size(); ++fi) {
       const HistogramSplit hs =
-          BestSplitFromHistogram(hists[g][fi], group.categorical[fi], crit);
+          BestSplitFromHistogram(hists[g][fi], orders_[g][fi], crit);
       if (!hs.valid || !std::isfinite(hs.criteria) ||
           !(hs.criteria > best_gain)) {
         continue;
@@ -127,6 +141,7 @@ GrowthResult TreeGrower::Grow(const std::vector<std::string>& features,
                               const std::vector<int>* clusters) {
   GrowthResult result;
   groups_ = GroupFeatures(features);
+  orders_.assign(groups_.size(), {});
   // Sibling subtraction needs c to count join tuples, so that a bin is
   // empty exactly when its c is 0: no relation may bind a count (hessian or
   // weight) column.
@@ -285,6 +300,13 @@ GrowthResult TreeGrower::Grow(const std::vector<std::string>& features,
     leaves.push_back(std::move(left));
     leaves.push_back(std::move(right));
   }
+
+  for (size_t g = 0; g < orders_.size(); ++g) {
+    for (size_t fi = 0; fi < orders_[g].size(); ++fi) {
+      last_orders_[groups_[g].feats[fi]] = std::move(orders_[g][fi]);
+    }
+  }
+  orders_.clear();
 
   // Leaf values.
   for (auto& leaf : leaves) {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -29,13 +30,16 @@ struct GrowthResult {
 /// Algorithm 1: grows one decision tree. A leaf's split search runs one
 /// GROUPING SETS histogram query per relation carrying features (built by
 /// the factorizer) and enumerates thresholds in the C++ split kernel
-/// (split.h). After a split only the child with the smaller c is queried
-/// (the left one on a tie). When c counts join tuples, i.e. no
-/// RelationBinding has a count column, the larger child's histograms are
-/// its parent's minus the smaller child's (sibling subtraction,
-/// SubtractHistogram); under a hessian or weight c it is queried too. A
-/// split that fills the tree evaluates neither child. Growth is best-first
-/// (priority queue on criterion reduction) or depth-wise.
+/// (split.h). The root's histogram results fix each feature's value order
+/// for the whole tree (FeatureOrder, at most one sort per feature), and every
+/// node's histograms are lists of its slots in ascending order. After a
+/// split only the child with the smaller c is queried (the left one on a
+/// tie). When c counts join tuples, i.e. no RelationBinding has a count
+/// column, the larger child's histograms are its parent's minus the smaller
+/// child's (sibling subtraction, SubtractHistogram: a merge of the two slot
+/// lists); under a hessian or weight c it is queried too. A split that
+/// fills the tree evaluates neither child. Growth is best-first (priority
+/// queue on criterion reduction) or depth-wise.
 class TreeGrower {
  public:
   TreeGrower(factor::Factorizer* fac, const TrainParams& params);
@@ -86,6 +90,12 @@ class TreeGrower {
   factor::Factorizer* fac_;
   TrainParams params_;
   std::vector<FeatureGroup> groups_;  ///< of the tree being grown
+  /// Per feature group, one order per feature, fixed by the tree's root
+  /// histograms. When the tree is grown they move to `last_orders_`, by
+  /// feature, where the next tree's root takes each one that holds all of
+  /// its values (a gbdt's roots all do) and sorts the others afresh.
+  std::vector<std::vector<FeatureOrder>> orders_;
+  std::map<std::string, FeatureOrder> last_orders_;
   size_t split_queries_ = 0;
 };
 

@@ -149,7 +149,7 @@ bool LowerConjunct(const sql::Expr& e, const Table& table,
 }
 
 /// Exact per-value predicate — the same math EvalComparison/EvalExpr apply
-/// to decoded values (null never selected except via IS NULL / NOT IN).
+/// to decoded values (a NULL is selected only by IS NULL).
 bool EvalOne(const Lowered& p, int64_t v) {
   switch (p.kind) {
     case Lowered::kCmp: {
@@ -164,9 +164,10 @@ bool EvalOne(const Lowered& p, int64_t v) {
       return x >= y;
     }
     case Lowered::kInList: {
-      bool found = v != kNullInt64 &&
-                   p.set->set->Contains(static_cast<uint64_t>(v));
-      return found != p.negated;
+      const bool null_probe = v == kNullInt64;
+      const bool found =
+          !null_probe && p.set->set->Contains(static_cast<uint64_t>(v));
+      return p.negated ? NotInList(found, null_probe, *p.set) : found;
     }
     case Lowered::kIsNull:
       return (v == kNullInt64) != p.negated;
@@ -218,12 +219,13 @@ Verdict Classify(const Lowered& p, const EncodedInts::Block& blk) {
     }
     case Lowered::kInList: {
       // No member can fall inside the block's value range => no row is
-      // found. Plain IN selects nothing; NOT IN selects everything (NULL
-      // probes included — NOT IN keeps them).
+      // found. Plain IN selects nothing; NOT IN selects nothing when the
+      // list holds a NULL, and otherwise every row but the NULL ones.
       bool overlap = p.set->has_bounds && p.set->max_value >= blk.reference &&
                      p.set->min_value <= blk.max;
-      if (!overlap) return p.negated ? Verdict::kAll : Verdict::kNone;
-      return Verdict::kPartial;
+      if (overlap) return Verdict::kPartial;
+      if (!p.negated || p.set->has_null) return Verdict::kNone;
+      return has_null ? Verdict::kPartial : Verdict::kAll;
     }
     case Lowered::kIsNull:
       if (!has_null) {

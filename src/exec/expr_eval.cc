@@ -22,6 +22,7 @@ namespace exec {
 struct InSubquerySet {
   std::vector<VectorData> keys;  ///< one per subquery result column
   size_t rows = 0;               ///< result rows
+  std::vector<uint32_t> null_rows;  ///< result rows with a NULL key cell
   morsel::KeyBox box;
   std::vector<uint8_t> present;  ///< per box slot; empty unless boxed
   bool boxed = false;
@@ -348,6 +349,14 @@ InSubquerySet& GetOrBuildInSubquerySet(const sql::Expr& e, size_t probe_rows,
       set->keys.push_back(std::move(c.data));
       keys.push_back(&set->keys.back());
     }
+    for (size_t r = 0; r < sub.rows; ++r) {
+      for (const auto* k : keys) {
+        if (k->IsNull(r)) {
+          set->null_rows.push_back(static_cast<uint32_t>(r));
+          break;
+        }
+      }
+    }
     set->boxed = morsel::FitKeyBox(
         keys, sub.rows, /*null_slot=*/false,
         morsel::kBoxSlotsPerRow * (sub.rows + probe_rows), &set->box);
@@ -366,8 +375,11 @@ InSubquerySet& GetOrBuildInSubquerySet(const sql::Expr& e, size_t probe_rows,
 
 /// `probe [NOT] IN (SELECT ...)` and its row-value form `(p1, p2, ...)
 /// [NOT] IN (SELECT c1, c2, ...)`: a semi-join probe of the subquery's
-/// rows. A NULL in any probe column is never a member. Over zero rows the
-/// subquery does not run.
+/// rows. A NULL in any probe column is never a member. NOT IN follows SQL:
+/// true over an empty result, false for a member, and otherwise true only
+/// when every result row differs from the probe in a column where both are
+/// non-NULL (for one column: the probe is not NULL and the result holds no
+/// NULL). Over zero rows the subquery does not run.
 VectorData EvalInSubquery(const sql::Expr& e, const ExecTable& input,
                           EvalContext& ctx) {
   const size_t rows = input.rows;
@@ -379,24 +391,75 @@ VectorData EvalInSubquery(const sql::Expr& e, const ExecTable& input,
   JB_CHECK_MSG(set.keys.size() == probes.size(),
                "IN subquery returns " << set.keys.size() << " column(s) for "
                                       << probes.size() << " probe value(s)");
+  // Both sides of an int64 = float64 column pair become doubles. The set's
+  // cached table hashes its keys as they are, so a probe that changes them
+  // gets a table of its own.
+  std::vector<VectorData> as_doubles;
+  as_doubles.reserve(probes.size());
   std::vector<const VectorData*> pk, bk;
   for (size_t i = 0; i < probes.size(); ++i) {
-    probes[i] = AlignDictionary(probes[i], set.keys[i]);
+    const VectorData& key = set.keys[i];
+    bk.push_back(&key);
+    if (MixedNumericKeys(key, probes[i])) {
+      as_doubles.push_back(AlignNumericKey(key, probes[i]));
+      bk.back() = &as_doubles.back();
+    }
+    probes[i] = AlignNumericKey(AlignDictionary(probes[i], key), key);
     pk.push_back(&probes[i]);
-    bk.push_back(&set.keys[i]);
   }
+  auto null_probe = [&](size_t r) {
+    for (const auto* p : pk) {
+      if (p->IsNull(r)) return true;
+    }
+    return false;
+  };
+  // NOT IN for a probe row that is not a member of a non-empty result. A
+  // result row without a NULL differs from a NULL-free probe in some column
+  // already, so only NULLs need a look.
+  auto not_in = [&](size_t r) {
+    const bool probe_has_null = null_probe(r);
+    if (!probe_has_null && set.null_rows.empty()) return true;
+    auto differs = [&](size_t b) {
+      for (size_t i = 0; i < pk.size(); ++i) {
+        if (!pk[i]->IsNull(r) && !bk[i]->IsNull(b) &&
+            !RowsEqual({pk[i]}, r, {bk[i]}, b)) {
+          return true;
+        }
+      }
+      return false;
+    };
+    if (probe_has_null) {
+      for (size_t b = 0; b < set.rows; ++b) {
+        if (!differs(b)) return false;
+      }
+      return true;
+    }
+    for (const uint32_t b : set.null_rows) {
+      if (!differs(b)) return false;
+    }
+    return true;
+  };
+  auto answer = [&](size_t r, bool found) -> int64_t {
+    if (!e.negated) return found ? 1 : 0;
+    return !found && (set.rows == 0 || not_in(r)) ? 1 : 0;
+  };
   std::vector<int64_t> out(rows);
   if (set.boxed && morsel::IntKeys(pk)) {
     // A NULL or out-of-box probe has no slot.
     std::vector<uint32_t> slots = morsel::BoxSlots(set.box, pk, rows,
                                                    OpContext{});
     for (size_t r = 0; r < rows; ++r) {
-      const bool found = slots[r] != morsel::kNoSlot && set.present[slots[r]];
-      out[r] = (found != e.negated) ? 1 : 0;
+      out[r] = answer(r, slots[r] != morsel::kNoSlot && set.present[slots[r]]);
     }
     return VectorData::FromInts(std::move(out));
   }
-  if (!set.hashed) {
+  hash::JoinHashTable own_table;
+  const hash::JoinHashTable* table = &set.table;
+  if (!as_doubles.empty()) {
+    std::vector<uint64_t> hashes = morsel::HashKeys(bk, set.rows, OpContext{});
+    own_table.Build(hashes.data(), set.rows);
+    table = &own_table;
+  } else if (!set.hashed) {
     std::vector<uint64_t> hashes = morsel::HashKeys(bk, set.rows, OpContext{});
     set.table.Build(hashes.data(), set.rows);
     set.hashed = true;
@@ -404,18 +467,16 @@ VectorData EvalInSubquery(const sql::Expr& e, const ExecTable& input,
   std::vector<uint64_t> hashes = morsel::HashKeys(pk, rows, OpContext{});
   for (size_t r = 0; r < rows; ++r) {
     bool found = false;
-    bool null_probe = false;
-    for (const auto* p : pk) null_probe |= p->IsNull(r);
-    if (!null_probe) {
-      for (uint32_t b = set.table.Probe(hashes[r]); b != hash::kInvalidIndex;
-           b = set.table.Next(b)) {
+    if (!null_probe(r)) {
+      for (uint32_t b = table->Probe(hashes[r]); b != hash::kInvalidIndex;
+           b = table->Next(b)) {
         if (RowsEqual(pk, r, bk, b)) {
           found = true;
           break;
         }
       }
     }
-    out[r] = (found != e.negated) ? 1 : 0;
+    out[r] = answer(r, found);
   }
   return VectorData::FromInts(std::move(out));
 }
@@ -439,6 +500,10 @@ const InListSet& GetOrBuildInListSet(const sql::Expr& e, TypeId probe_type,
   bool translated = false;
   for (size_t a = 1; a < e.args.size(); ++a) {
     const sql::Expr& lit = *e.args[a];
+    if (lit.kind == sql::ExprKind::kNullLiteral) {
+      ls->has_null = true;
+      continue;
+    }
     int64_t member;
     if (probe_type == TypeId::kString && dict != nullptr &&
         lit.kind == sql::ExprKind::kStringLiteral) {
@@ -590,17 +655,21 @@ VectorData EvalExpr(const sql::Expr& e, const ExecTable& input,
       const std::shared_ptr<const hash::ValueSet>& set = ls.set;
       std::vector<int64_t> out(rows);
       for (size_t i = 0; i < rows; ++i) {
-        bool found;
-        if (as_double) {
+        const bool null_probe = probe.IsNull(i);
+        bool found = false;
+        if (null_probe) {
+          // a NULL is never a member
+        } else if (as_double) {
           double d = (*probe.dbls)[i];
           int64_t bits;
           std::memcpy(&bits, &d, 8);
           found = set->Contains(static_cast<uint64_t>(bits));
         } else {
-          int64_t x = (*probe.ints)[i];
-          found = x != kNullInt64 && set->Contains(static_cast<uint64_t>(x));
+          found = set->Contains(static_cast<uint64_t>((*probe.ints)[i]));
         }
-        out[i] = (found != e.negated) ? 1 : 0;
+        const bool holds =
+            e.negated ? NotInList(found, null_probe, ls) : found;
+        out[i] = holds ? 1 : 0;
       }
       return VectorData::FromInts(std::move(out));
     }

@@ -22,7 +22,15 @@ struct InListSet {
   bool has_bounds = false;  ///< min/max below are valid (int64 members exist)
   int64_t min_value = 0;
   int64_t max_value = 0;
+  /// The list holds a NULL, which matches nothing: NOT IN holds for no row.
+  bool has_null = false;
 };
+
+/// SQL's `x NOT IN S` over a non-empty list S: true only when x is not
+/// NULL, not a member, and S holds no NULL.
+inline bool NotInList(bool found, bool null_probe, const InListSet& ls) {
+  return !found && !null_probe && !ls.has_null;
+}
 
 /// Membership set of one IN (subquery), probed like a semi-join.
 struct InSubquerySet;

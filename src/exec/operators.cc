@@ -95,6 +95,29 @@ VectorData AlignDictionary(const VectorData& probe, const VectorData& build) {
   return VectorData::FromCodes(std::move(codes), build.dict);
 }
 
+bool MixedNumericKeys(const VectorData& a, const VectorData& b) {
+  return (a.type == TypeId::kInt64 && b.type == TypeId::kFloat64) ||
+         (a.type == TypeId::kFloat64 && b.type == TypeId::kInt64);
+}
+
+VectorData AlignNumericKey(const VectorData& key, const VectorData& other) {
+  if (!MixedNumericKeys(key, other)) return key;
+  std::vector<double> out(key.size());
+  if (key.type == TypeId::kFloat64) {
+    const std::vector<double>& src = *key.dbls;
+    for (size_t r = 0; r < src.size(); ++r) {
+      out[r] = src[r] == 0.0 ? 0.0 : src[r];
+    }
+  } else {
+    const std::vector<int64_t>& src = *key.ints;
+    for (size_t r = 0; r < src.size(); ++r) {
+      out[r] =
+          src[r] == kNullInt64 ? NullFloat64() : static_cast<double>(src[r]);
+    }
+  }
+  return VectorData::FromDoubles(std::move(out));
+}
+
 ExecTable ScanTable(const Table& table, const std::string& qualifier,
                     const OpContext& ctx) {
   return ScanTable(table, qualifier, ctx, ScanSpec{});
@@ -292,12 +315,16 @@ ExecTable HashJoinExec(const ExecTable& left, const ExecTable& right,
   }
   // Cross-dictionary string joins: remap the probe (left) side's codes into
   // the build side's code space once per key column, so hashing and equality
-  // both run on plain int codes with no string materialization. Output
-  // columns gather from the original inputs, untouched.
+  // both run on plain int codes with no string materialization. Both sides
+  // of an int64 = float64 key become doubles. Output columns gather from the
+  // original inputs, untouched.
   std::vector<VectorData> aligned;
-  aligned.reserve(lk.size());  // keep lk's pointers stable across pushes
+  aligned.reserve(2 * lk.size());  // keep the pointers stable across pushes
   for (size_t i = 0; i < lk.size(); ++i) {
-    aligned.push_back(AlignDictionary(*lk[i], *rk[i]));
+    const VectorData& build = *rk[i];
+    aligned.push_back(AlignNumericKey(build, *lk[i]));
+    rk[i] = &aligned.back();
+    aligned.push_back(AlignNumericKey(AlignDictionary(*lk[i], build), build));
     lk[i] = &aligned.back();
   }
 
@@ -1188,18 +1215,24 @@ VectorData WindowExec(const ExecTable& input, const sql::Expr& win,
   }
   std::vector<uint32_t> idx(input.rows);
   for (size_t i = 0; i < input.rows; ++i) idx[i] = static_cast<uint32_t>(i);
-  std::stable_sort(idx.begin(), idx.end(), [&](uint32_t a, uint32_t b) {
-    if (part_ids[a] != part_ids[b]) return part_ids[a] < part_ids[b];
-    for (const auto& v : order_keys) {
-      double x = v.type == TypeId::kFloat64 ? (*v.dbls)[a]
-                                            : static_cast<double>((*v.ints)[a]);
-      double y = v.type == TypeId::kFloat64 ? (*v.dbls)[b]
-                                            : static_cast<double>((*v.ints)[b]);
-      if (x < y) return true;
-      if (x > y) return false;
-    }
-    return false;
-  });
+  // With neither PARTITION BY nor ORDER BY every row compares equal, so the
+  // stable order is the row order (`COUNT(*) OVER ()` numbers the rows).
+  if (!win.partition_by.empty() || !win.order_by.empty()) {
+    std::stable_sort(idx.begin(), idx.end(), [&](uint32_t a, uint32_t b) {
+      if (part_ids[a] != part_ids[b]) return part_ids[a] < part_ids[b];
+      for (const auto& v : order_keys) {
+        double x = v.type == TypeId::kFloat64
+                       ? (*v.dbls)[a]
+                       : static_cast<double>((*v.ints)[a]);
+        double y = v.type == TypeId::kFloat64
+                       ? (*v.dbls)[b]
+                       : static_cast<double>((*v.ints)[b]);
+        if (x < y) return true;
+        if (x > y) return false;
+      }
+      return false;
+    });
+  }
   // Argument values.
   VectorData arg;
   bool count_star = win.op == "COUNT" &&

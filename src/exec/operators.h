@@ -80,6 +80,16 @@ bool RowsEqual(const std::vector<const VectorData*>& a, size_t ra,
 /// `build`'s dictionary gets a code no build row carries.
 VectorData AlignDictionary(const VectorData& probe, const VectorData& build);
 
+/// True when one key column is int64 and the other float64.
+bool MixedNumericKeys(const VectorData& a, const VectorData& b);
+
+/// `key` as it hashes and compares against `other`, the key column it is
+/// matched with. In an int64 = float64 pair both sides become doubles: an
+/// int as its double (NULL as NaN), a float with -0.0 read as 0.0. Doubles
+/// then compare equal exactly when their bits do, so keys equal as doubles
+/// hash alike and match. Any other pair keeps `key` as it is.
+VectorData AlignNumericKey(const VectorData& key, const VectorData& other);
+
 /// Equi-join, building on `right`. `left_keys`/`right_keys` index into the
 /// inputs' columns. Inner and left-outer produce concatenated schemas;
 /// semi/anti return the filtered left input. A left row with a NULL key

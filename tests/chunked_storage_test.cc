@@ -157,6 +157,42 @@ TEST(ChunkedScanTest, ZoneMapsPruneWholeChunks) {
   EXPECT_GT(s.blocks_skipped, 0u);
 }
 
+/// A window with neither PARTITION BY nor ORDER BY runs in row order:
+/// `COUNT(*) OVER ()` numbers the rows 1..n (Session::LiftFact's row ids)
+/// and `SUM(x) OVER ()` reads the prefix sums, over several chunks, at 1
+/// and 4 threads, with the planner on and off.
+TEST(ChunkedScanTest, EmptyWindowRunsInRowOrder) {
+  const size_t n = 3000;
+  std::vector<int64_t> x(n);
+  for (size_t i = 0; i < n; ++i) x[i] = static_cast<int64_t>((i * 7919) % n);
+  for (const int threads : {1, 4}) {
+    for (const bool planner : {true, false}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " planner=" + (planner ? "on" : "off"));
+      EngineProfile p = EngineProfile::DSwap();
+      p.chunk_rows = 1024;
+      p.exec_threads = threads;
+      p.use_planner = planner;
+      Database db(p);
+      db.LoadTable(TableBuilder("t").AddInts("x", x).Build());
+      auto r = db.Query(
+          "SELECT t.x, INT(COUNT(*) OVER ()) AS rid, SUM(t.x) OVER () AS run "
+          "FROM t");
+      ASSERT_EQ(r->rows, n);
+      const std::vector<int64_t>& got_x = r->Col(0).Ints();
+      const std::vector<int64_t>& rid = r->Col(1).Ints();
+      const std::vector<double>& run = r->Col(2).Dbls();
+      double sum = 0;
+      for (size_t i = 0; i < n; ++i) {
+        sum += static_cast<double>(x[i]);
+        ASSERT_EQ(got_x[i], x[i]) << i;
+        ASSERT_EQ(rid[i], static_cast<int64_t>(i + 1)) << i;
+        ASSERT_EQ(run[i], sum) << i;
+      }
+    }
+  }
+}
+
 TEST(ChunkedTableTest, TableRechunkAppliesToEveryColumn) {
   TablePtr t = TableBuilder("t")
                    .AddInts("a", Iota(2100))

@@ -257,13 +257,16 @@ TEST_F(CompressedScanTest, AllMatchStillProducesEveryRow) {
 TEST_F(CompressedScanTest, NullSentinelBlocksInteractWithPredicatesExactly) {
   // The NULL run lives in block 1 only; IS NULL skips the other blocks, and
   // comparisons / NOT IN reproduce the decoded path's NULL handling bit for
-  // bit (NOT IN keeps NULL rows — engine semantics, pinned differentially).
+  // bit. A NULL row passes no NOT IN, also in a block whose value range
+  // misses every member.
   CheckIdentical("SELECT noise FROM t WHERE noise IS NULL");
   CheckIdentical("SELECT noise FROM t WHERE noise IS NOT NULL");
   CheckIdentical("SELECT vals, noise FROM t WHERE noise > 50000");
   CheckIdentical("SELECT vals FROM t WHERE noise NOT IN (5, 7)");
   CheckIdentical("SELECT vals FROM t WHERE noise NOT IN (-5, -7)");
   CheckIdentical("SELECT vals FROM t WHERE noise = NULL");
+  EXPECT_EQ(on_->Query("SELECT vals FROM t WHERE noise NOT IN (-5, -7)")->rows,
+            kRows - 200);
   plan::PlanStats s = RunAndStats("SELECT vals FROM t WHERE noise IS NULL");
   EXPECT_GT(s.blocks_skipped, 0u);
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -369,6 +370,233 @@ TEST(HostileInputTest, Int64ExtremeKeysJoinGroupAndProbeExactly) {
                                "ON f.k = d.k GROUP BY d.k"),
                      matched_groups);
       }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// NULLs in NOT IN, and int = float keys, against nested loops under SQL's
+// three-valued logic.
+// ---------------------------------------------------------------------------
+
+using Cell = std::optional<double>;  ///< nullopt = NULL
+using RowValue = std::vector<Cell>;
+
+enum class Tri { kFalse, kTrue, kNull };
+
+/// `x = s` for row values: FALSE when a column pair differs, else NULL when
+/// a cell is NULL, else TRUE.
+Tri RowEquals(const RowValue& x, const RowValue& s) {
+  bool unknown = false;
+  for (size_t i = 0; i < x.size(); ++i) {
+    if (!x[i] || !s[i]) {
+      unknown = true;
+    } else if (*x[i] != *s[i]) {
+      return Tri::kFalse;
+    }
+  }
+  return unknown ? Tri::kNull : Tri::kTrue;
+}
+
+/// `x IN S` (OR of `x = s` over S; FALSE over an empty S), or NOT of it.
+Tri InSet(const RowValue& x, const std::vector<RowValue>& set, bool negated) {
+  Tri in = Tri::kFalse;
+  for (const RowValue& s : set) {
+    const Tri eq = RowEquals(x, s);
+    if (eq == Tri::kTrue) {
+      in = Tri::kTrue;
+      break;
+    }
+    if (eq == Tri::kNull) in = Tri::kNull;
+  }
+  if (!negated || in == Tri::kNull) return in;
+  return in == Tri::kTrue ? Tri::kFalse : Tri::kTrue;
+}
+
+/// Rows of `probes` for which the predicate is TRUE.
+double CountTrue(const std::vector<RowValue>& probes,
+                 const std::vector<RowValue>& set, bool negated) {
+  double n = 0;
+  for (const RowValue& x : probes) n += InSet(x, set, negated) == Tri::kTrue;
+  return n;
+}
+
+std::vector<int64_t> IntsOf(const std::vector<Cell>& cells) {
+  std::vector<int64_t> out;
+  for (const Cell& c : cells) {
+    out.push_back(c ? static_cast<int64_t>(*c) : kNullInt64);
+  }
+  return out;
+}
+
+std::vector<double> DoublesOf(const std::vector<Cell>& cells) {
+  std::vector<double> out;
+  for (const Cell& c : cells) out.push_back(c ? *c : NullFloat64());
+  return out;
+}
+
+std::vector<RowValue> Rows(const std::vector<Cell>& a,
+                           const std::vector<Cell>& b = {}) {
+  std::vector<RowValue> out;
+  for (size_t r = 0; r < a.size(); ++r) {
+    out.push_back(b.empty() ? RowValue{a[r]} : RowValue{a[r], b[r]});
+  }
+  return out;
+}
+
+const EngineProfile kNullProfiles[] = {EngineProfile::DSwap(),
+                                       EngineProfile::XRow()};
+
+/// SQL's NOT IN: `x NOT IN S` is true over an empty S and false for a
+/// member of S; otherwise it is true only when every row of S differs from
+/// x in a column where both are non-NULL (for one column: x is not NULL and
+/// S holds no NULL). Over IN subqueries whose keys take the array path and
+/// the hash path, row values, and literal lists, on a columnar and a
+/// row-at-a-time profile, planner on and off. NOT IN over an empty S keeps
+/// the NULL probes.
+TEST(HostileInputTest, NotInFollowsSqlWithNulls) {
+  const std::optional<double> N;
+  const std::vector<Cell> pk = {1, 2, 3, N, 7, N, 2, 9};
+  const std::vector<Cell> pj = {5, N, 6, 5, N, 8, 6, 1};
+  const std::vector<Cell> px = {1.0, N, 2.5, 3, N, -1, 2, 9};
+  // Int sets: dense keys take the array path, a far key the hash path.
+  const std::vector<std::pair<const char*, std::vector<Cell>>> int_sets = {
+      {"dense", {1, 2, 5}},
+      {"dense_null", {N, N, 2}},
+      {"wide", {1, 2, 1000000007}},
+      {"wide_null", {N, 2, 1000000007}},
+      {"all_null", {N}},
+  };
+  const std::vector<Cell> fx = {2.5, N, 3};
+  const std::vector<Cell> ta = {1, 2, N}, tb = {5, N, 6};
+  const std::vector<Cell> ua = {1, 3}, ub = {5, 7};
+  for (const EngineProfile& base : kNullProfiles) {
+    for (const bool planner : {true, false}) {
+      SCOPED_TRACE(base.name + (planner ? " planner on" : " planner off"));
+      EngineProfile profile = base;
+      profile.use_planner = planner;
+      exec::Database db(profile);
+      db.LoadTable(TableBuilder("p")
+                       .AddInts("k", IntsOf(pk))
+                       .AddInts("j", IntsOf(pj))
+                       .AddDoubles("x", DoublesOf(px))
+                       .Build());
+      for (const auto& [name, v] : int_sets) {
+        db.LoadTable(TableBuilder(name).AddInts("v", IntsOf(v)).Build());
+      }
+      db.LoadTable(TableBuilder("fs").AddDoubles("v", DoublesOf(fx)).Build());
+      db.LoadTable(TableBuilder("t")
+                       .AddInts("a", IntsOf(ta))
+                       .AddInts("b", IntsOf(tb))
+                       .Build());
+      db.LoadTable(TableBuilder("u")
+                       .AddInts("a", IntsOf(ua))
+                       .AddInts("b", IntsOf(ub))
+                       .Build());
+      auto count = [&](const std::string& where) {
+        return db.QueryScalarDouble("SELECT COUNT(*) AS c FROM p WHERE " +
+                                    where);
+      };
+      for (const bool negated : {false, true}) {
+        const std::string op = negated ? " NOT IN " : " IN ";
+        for (const auto& [name, v] : int_sets) {
+          SCOPED_TRACE(std::string(name) + op);
+          const std::string sub =
+              std::string("(SELECT s.v FROM ") + name + " s)";
+          EXPECT_EQ(count("p.k" + op + sub),
+                    CountTrue(Rows(pk), Rows(v), negated));
+          // An empty result: NOT IN holds for every row, NULL probes too.
+          EXPECT_EQ(count("p.k" + op + std::string("(SELECT s.v FROM ") +
+                          name + " s WHERE s.v > 2000000000)"),
+                    negated ? static_cast<double>(pk.size()) : 0.0);
+        }
+        SCOPED_TRACE(op);
+        EXPECT_EQ(count("p.x" + op + "(SELECT s.v FROM fs s)"),
+                  CountTrue(Rows(px), Rows(fx), negated));
+        EXPECT_EQ(count("(p.k, p.j)" + op + "(SELECT t.a, t.b FROM t)"),
+                  CountTrue(Rows(pk, pj), Rows(ta, tb), negated));
+        EXPECT_EQ(count("(p.k, p.j)" + op + "(SELECT u.a, u.b FROM u)"),
+                  CountTrue(Rows(pk, pj), Rows(ua, ub), negated));
+        EXPECT_EQ(count("p.k" + op + "(1, 2)"),
+                  CountTrue(Rows(pk), Rows({1, 2}), negated));
+        EXPECT_EQ(count("p.k" + op + "(1, NULL)"),
+                  CountTrue(Rows(pk), Rows({1, N}), negated));
+        EXPECT_EQ(count("p.x" + op + "(2.5, 7.0)"),
+                  CountTrue(Rows(px), Rows({2.5, 7.0}), negated));
+        EXPECT_EQ(count("p.x" + op + "(NULL, 2.5)"),
+                  CountTrue(Rows(px), Rows({N, 2.5}), negated));
+      }
+    }
+  }
+}
+
+/// An int64 key against a float64 one matches when the two are equal as
+/// doubles (-0.0 and 0.0 included), whichever side is built, in inner, semi
+/// and anti joins and IN, on a columnar and a row-at-a-time profile, planner
+/// on and off, against nested loops.
+TEST(HostileInputTest, IntAndFloatKeysMatchAsDoubles) {
+  const std::optional<double> N;
+  const int64_t big = int64_t{1} << 53;
+  const std::vector<Cell> ik = {1, 2, 3, 3, N, 0, 7};
+  const std::vector<Cell> fx = {1.0, 3.0, 3.0, 2.5, N, -0.0, 8.0, 0.0};
+  for (const EngineProfile& base : kNullProfiles) {
+    for (const bool planner : {true, false}) {
+      SCOPED_TRACE(base.name + (planner ? " planner on" : " planner off"));
+      EngineProfile profile = base;
+      profile.use_planner = planner;
+      exec::Database db(profile);
+      db.LoadTable(TableBuilder("i").AddInts("k", IntsOf(ik)).Build());
+      db.LoadTable(TableBuilder("f").AddDoubles("x", DoublesOf(fx)).Build());
+      // Beyond 2^53 an int is the double it rounds to, as RowsEqual reads it.
+      db.LoadTable(TableBuilder("bi").AddInts("k", {big + 1, 5}).Build());
+      db.LoadTable(TableBuilder("bf")
+                       .AddDoubles("x", {static_cast<double>(big), 6.0})
+                       .Build());
+      auto scalar = [&](const std::string& sql) {
+        return db.QueryScalarDouble(sql);
+      };
+      double pairs = 0, f_matched = 0, i_matched = 0;
+      for (const Cell& x : fx) {
+        bool any = false;
+        for (const Cell& k : ik) {
+          const bool eq = x && k && *x == *k;
+          pairs += eq;
+          any |= eq;
+        }
+        f_matched += any;
+      }
+      for (const Cell& k : ik) {
+        i_matched += InSet({k}, Rows(fx), false) == Tri::kTrue;
+      }
+      const double nf = static_cast<double>(fx.size());
+      const double ni = static_cast<double>(ik.size());
+      EXPECT_EQ(scalar("SELECT COUNT(*) AS c FROM f JOIN i ON f.x = i.k"),
+                pairs);
+      EXPECT_EQ(scalar("SELECT COUNT(*) AS c FROM i JOIN f ON i.k = f.x"),
+                pairs);
+      EXPECT_EQ(scalar("SELECT COUNT(*) AS c FROM f SEMI JOIN i ON f.x = i.k"),
+                f_matched);
+      EXPECT_EQ(scalar("SELECT COUNT(*) AS c FROM f ANTI JOIN i ON f.x = i.k"),
+                nf - f_matched);
+      EXPECT_EQ(scalar("SELECT COUNT(*) AS c FROM i SEMI JOIN f ON i.k = f.x"),
+                i_matched);
+      EXPECT_EQ(scalar("SELECT COUNT(*) AS c FROM i ANTI JOIN f ON i.k = f.x"),
+                ni - i_matched);
+      EXPECT_EQ(scalar("SELECT COUNT(*) AS c FROM f WHERE f.x IN "
+                       "(SELECT i.k FROM i)"),
+                f_matched);
+      EXPECT_EQ(scalar("SELECT COUNT(*) AS c FROM i WHERE i.k IN "
+                       "(SELECT f.x FROM f)"),
+                i_matched);
+      EXPECT_EQ(scalar("SELECT COUNT(*) AS c FROM i WHERE i.k NOT IN "
+                       "(SELECT f.x FROM f WHERE f.x > -1)"),
+                CountTrue(Rows(ik), Rows({1.0, 3.0, 3.0, 2.5, -0.0, 8.0, 0.0}),
+                          true));
+      EXPECT_EQ(scalar("SELECT COUNT(*) AS c FROM bi JOIN bf ON bi.k = bf.x"),
+                1.0);
+      EXPECT_EQ(scalar("SELECT COUNT(*) AS c FROM bf WHERE bf.x IN "
+                       "(SELECT bi.k FROM bi)"),
+                1.0);
     }
   }
 }
